@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -481,33 +482,139 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
 
 # ---------------------------------------------------------------------------
 # Execution
+#
+# A run keeps every value it computes in one int64 buffer V with a row per
+# atom and a column per node: rows [0, dim) are the node states x, rows
+# [dim, 2*dim) the neighbour sums y, and the rows after them the ReLU units
+# of the combine network, level by level.
 
 
-def _np_layers(gnn: RecurrentGnn):
-    return [
-        (np.array(W, dtype=np.int64).reshape(len(W), -1), np.array(bias, dtype=np.int64))
-        for W, bias in gnn.comb.layers
-    ]
+def _affine(V, src, coef, starts, bias):
+    """Row i is the sum of `coef * V[src]` over [starts[i], starts[i+1]) plus
+    bias[i].  No group may be empty: `reduceat` gives the next element for
+    an empty one, so a row without nonzeros holds a zero-coefficient entry."""
+    if not len(starts):
+        return np.zeros((0, V.shape[1]), dtype=np.int64)
+    Z = np.add.reduceat(V[src] * coef, starts, axis=0)
+    Z += bias
+    return Z
 
 
-def apply_layer(gnn: RecurrentGnn, G: LabeledGraph, vectors, _np_cache=None):
-    """One synchronous round: every node combines (own, neighbor-sum)."""
-    H = np.array(vectors, dtype=np.int64)
-    A = np.zeros((G.n, G.n), dtype=np.int64)
-    for a in range(G.n):
-        for bnode in G.adj[a]:
-            A[a, bnode] += 1
-    layers = _np_cache if _np_cache is not None else _np_layers(gnn)
-    Y = A @ H
-    Z = np.concatenate([H, Y], axis=1)
-    last = len(layers) - 1
-    for li, (W, bias) in enumerate(layers):
-        Z = Z @ W.T + bias
-        if li != last:
+class LevelProgram:
+    """An Rfnn on `n_in` inputs compiled to one sparse affine program per
+    level, over an atom buffer V with `n_atoms` rows and a column per sample.
+
+    An identity row (one weight 1, bias 0) of a hidden layer after the first
+    is not computed: it aliases its source, a ReLU output, which is >= 0 and
+    so unchanged by the ReLU.  This drops the builder's carry rows.  Rows of
+    the first layer read raw inputs and rows of the last layer have no ReLU,
+    so both are always computed.  Raises GnnError on malformed layers."""
+
+    def __init__(self, comb: Rfnn, n_in: int):
+        if not comb.layers:
+            raise GnnError("combine network has no layers")
+        col_atom = np.arange(n_in)  # the atom holding each input column
+        self.n_atoms = n_in
+        self.hidden = []  # (first atom written, level) per hidden level
+        last = len(comb.layers) - 1
+        for li, (W, bias) in enumerate(comb.layers):
+            try:
+                W = np.array(W, dtype=np.int64).reshape(len(W), len(col_atom))
+                bias = np.array(bias, dtype=np.int64).reshape(len(W))
+            except (ValueError, TypeError, OverflowError) as e:
+                raise GnnError(f"combine layer {li} is malformed: {e}") from None
+            rows, cols = np.nonzero(W)
+            nnz = np.bincount(rows, minlength=len(W))
+            computed = np.ones(len(W), dtype=bool)
+            alias = alias_col = rows[:0]
+            if 0 < li < last:
+                one = np.flatnonzero(nnz == 1)
+                one_col = cols[(np.cumsum(nnz) - nnz)[one]]
+                copy = (W[one, one_col] == 1) & (bias[one] == 0)
+                alias, alias_col = one[copy], one_col[copy]
+                computed[alias] = False
+            keep = computed[rows]
+            rows, cols = rows[keep], cols[keep]
+            src, coef = col_atom[cols], W[rows, cols]
+            empty = np.flatnonzero(computed & (nnz == 0))
+            if len(empty):
+                order = np.argsort(np.concatenate([rows, empty]), kind="stable")
+                src = np.concatenate([src, np.zeros_like(empty)])[order]
+                coef = np.concatenate([coef, np.zeros(len(empty), dtype=np.int64)])[order]
+                nnz[empty] = 1
+            out_rows = np.flatnonzero(computed)
+            counts = nnz[out_rows]
+            level = (src, coef[:, None], np.cumsum(counts) - counts, bias[out_rows][:, None])
+            if li == last:
+                self.last = level
+                break
+            next_atom = np.empty(len(W), dtype=col_atom.dtype)
+            next_atom[alias] = col_atom[alias_col]
+            next_atom[out_rows] = self.n_atoms + np.arange(len(out_rows))
+            if len(out_rows):
+                self.hidden.append((self.n_atoms, level))
+            self.n_atoms += len(out_rows)
+            col_atom = next_atom
+        read = np.zeros(self.n_atoms, dtype=bool)
+        for _, level in self.hidden + [(0, self.last)]:
+            read[level[0]] = True
+        self.inputs_used = np.flatnonzero(read[:n_in])  # input atoms some level reads
+        self.out_width = len(self.last[2])
+
+    def evaluate(self, V: np.ndarray) -> np.ndarray:
+        """Fill the ReLU rows of V from its input rows; return the outputs."""
+        for lo, level in self.hidden:
+            Z = _affine(V, *level)
             np.maximum(Z, 0, out=Z)
-    if np.abs(Z).max(initial=0) >= MAX_WEIGHT:
-        raise GnnError("activation magnitude bound exceeded")
-    return tuple(tuple(int(v) for v in row) for row in Z)
+            V[lo : lo + len(Z)] = Z
+        return _affine(V, *self.last)
+
+
+class _Rounds:
+    """Rounds of one model on one graph.  The state X is the first `dim` rows
+    of the atom buffer and is updated in place."""
+
+    def __init__(self, gnn: RecurrentGnn, G: LabeledGraph):
+        dim = gnn.dim
+        self.prog = LevelProgram(gnn.comb, 2 * dim)
+        if self.prog.out_width != dim:
+            raise GnnError(f"combine network outputs {self.prog.out_width} values, not {dim}")
+        if not (0 <= gnn.hlt_index < dim and 0 <= gnn.out_index < dim):
+            raise GnnError("halt or output index outside the feature vector")
+        used = self.prog.inputs_used
+        self.ys = used[used >= dim]  # the neighbour sums the network reads
+        self.xs = self.ys - dim
+        # Source-sorted edge index: G.adj already lists edges by source.
+        deg = np.fromiter(map(len, G.adj), dtype=np.intp, count=G.n)
+        self.dst = np.fromiter(chain.from_iterable(G.adj), dtype=np.intp, count=int(deg.sum()))
+        self.sources = np.flatnonzero(deg)
+        self.starts = (np.cumsum(deg) - deg)[self.sources]
+        self.V = np.zeros((self.prog.n_atoms, G.n), dtype=np.int64)
+        self.X = self.V[:dim]
+
+    def step(self) -> None:
+        V = self.V
+        if len(self.dst) and len(self.ys):
+            S = np.add.reduceat(V[self.xs[:, None], self.dst], self.starts, axis=1)
+            if len(self.sources) == V.shape[1]:
+                V[self.ys] = S
+            else:  # sinks keep their zero neighbour sums
+                V[self.ys[:, None], self.sources] = S
+        Z = self.prog.evaluate(V)
+        if Z.max(initial=0) >= MAX_WEIGHT or Z.min(initial=0) <= -MAX_WEIGHT:
+            raise GnnError("activation magnitude bound exceeded")
+        self.X[...] = Z
+
+    def vectors(self) -> tuple:
+        return tuple(map(tuple, self.X.T.tolist()))
+
+
+def apply_layer(gnn: RecurrentGnn, G: LabeledGraph, vectors):
+    """One synchronous round: every node combines (own, neighbor-sum)."""
+    rounds = _Rounds(gnn, G)
+    rounds.X[...] = np.array(vectors, dtype=np.int64).reshape(G.n, gnn.dim).T
+    rounds.step()
+    return rounds.vectors()
 
 
 def run_gnn(
@@ -522,19 +629,21 @@ def run_gnn(
             f"graph universe {list(G.props)} does not match model universe {list(gnn.props)}"
         )
     limit = max_steps if max_steps is not None else safeguard(gnn.idx, G) + 1
-    layers = _np_layers(gnn)
-    vectors = tuple(gnn.init_vector(G.labels[n]) for n in range(G.n))
-    trace = [vectors] if want_trace else None
+    rounds = _Rounds(gnn, G)
+    X = rounds.X
+    X[...] = np.array(
+        [gnn.init_vector(labels) for labels in G.labels], dtype=np.int64
+    ).reshape(G.n, gnn.dim).T
+    trace = [rounds.vectors()] if want_trace else None
     iters = 0
-    hc = gnn.hlt_index
-    while not all(v[hc] > 0 for v in vectors):
+    while not (X[gnn.hlt_index] > 0).all():
         if iters >= limit:
             raise SafeguardExceeded(f"GNN run exceeded {limit} iterations")
-        vectors = apply_layer(gnn, G, vectors, _np_cache=layers)
+        rounds.step()
         if want_trace:
-            trace.append(vectors)
+            trace.append(rounds.vectors())
         iters += 1
-    out = [bool(v[gnn.out_index] > 0) for v in vectors]
+    out = (X[gnn.out_index] > 0).tolist()
     return out, iters, trace
 
 
@@ -596,8 +705,7 @@ def gnn_from_json(data: dict) -> RecurrentGnn:
 
 def save_gnn(gnn: RecurrentGnn, path) -> None:
     with open(path, "w") as fh:
-        json.dump(gnn_to_json(gnn), fh)
-        fh.write("\n")
+        fh.write(json.dumps(gnn_to_json(gnn)) + "\n")
 
 
 def load_gnn(path) -> RecurrentGnn:

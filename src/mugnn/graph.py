@@ -75,7 +75,10 @@ def make_graph(props, node_ids, labels, edges) -> LabeledGraph:
     if len(set(node_ids)) != len(node_ids):
         raise GraphError("duplicate node id")
     n = len(node_ids)
-    labels = tuple(frozenset(l) for l in labels)
+    try:
+        labels = tuple(frozenset(l) for l in labels)
+    except TypeError:
+        raise GraphError("node labels must be lists of proposition names") from None
     if len(labels) != n:
         raise GraphError("labels/nodes length mismatch")
     for lab in labels:
@@ -101,24 +104,41 @@ def graph_from_json(data) -> LabeledGraph:
         props = data["props"]
         nodes = data["nodes"]
         edges = data["edges"]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise GraphError(f"missing graph field: {e}")
+    if not isinstance(props, (list, tuple)) or not all(isinstance(p, str) for p in props):
+        raise GraphError(f"props must be a list of names, not {props!r}")
+    if not isinstance(nodes, (list, tuple)):
+        raise GraphError(f"nodes must be a list, not {nodes!r}")
+    if not isinstance(edges, (list, tuple)):
+        raise GraphError(f"edges must be a list, not {edges!r}")
     node_ids = []
     labels = []
     for nd in nodes:
-        node_ids.append(str(nd["id"]))
-        labels.append(nd.get("props", []))
-    id_to_idx = {}
-    for i, nid in enumerate(node_ids):
-        if nid in id_to_idx:
-            raise GraphError(f"duplicate node id {nid!r}")
-        id_to_idx[nid] = i
+        try:
+            node_ids.append(str(nd["id"]))
+            lab = nd.get("props", [])
+        except (KeyError, TypeError, AttributeError):
+            raise GraphError(f"node {nd!r} must be an object with an id") from None
+        if isinstance(lab, str):  # it would split into one-letter props
+            raise GraphError(f"props of node {node_ids[-1]!r} must be a list, not {lab!r}")
+        labels.append(lab)
+    id_to_idx = {nid: i for i, nid in enumerate(node_ids)}
+    if len(id_to_idx) != len(node_ids):
+        dup = next(nid for i, nid in enumerate(node_ids) if id_to_idx[nid] != i)
+        raise GraphError(f"duplicate node id {dup!r}")
     idx_edges = []
     for e in edges:
-        a, b = str(e[0]), str(e[1])
-        if a not in id_to_idx or b not in id_to_idx:
-            raise GraphError(f"edge ({a!r},{b!r}) references unknown node")
-        idx_edges.append((id_to_idx[a], id_to_idx[b]))
+        try:
+            if isinstance(e, str):  # a two-letter id would unpack into a pair
+                raise TypeError
+            a, b = e
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {e!r} must be a pair of node ids") from None
+        try:
+            idx_edges.append((id_to_idx[str(a)], id_to_idx[str(b)]))
+        except KeyError:
+            raise GraphError(f"edge ({str(a)!r},{str(b)!r}) references unknown node") from None
     return make_graph(props, node_ids, labels, idx_edges)
 
 

@@ -56,6 +56,24 @@ def test_check_graph_error_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"props": [], "nodes": [{"name": "a"}], "edges": []},
+        {"props": [], "nodes": 5, "edges": []},
+        {"props": [], "nodes": [{"id": "a"}], "edges": [["a"]]},
+        {"props": "pq", "nodes": [{"id": "a", "props": "pq"}], "edges": []},
+    ],
+    ids=["node-without-id", "nodes-not-a-list", "edge-not-a-pair", "string-props"],
+)
+def test_check_malformed_graph_exit_3(runner, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    res = invoke(runner, "check", "p", str(bad))
+    assert res.exit_code == 3
+    assert "error:" in res.output
+
+
 def test_check_missing_graph_file_exit_3(runner, tmp_path):
     res = invoke(runner, "check", "p", str(tmp_path / "nope.json"))
     assert res.exit_code == 3

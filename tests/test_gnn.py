@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mugnn.counting import (
     ExtendedConfiguration,
@@ -21,11 +24,13 @@ from mugnn.gnn import (
     eval_comb_exact,
     gnn_from_json,
     gnn_to_json,
+    LevelProgram,
     load_gnn,
     run_gnn,
     save_gnn,
 )
 from mugnn.graph import make_graph
+from mugnn.rfnn import Rfnn, rfnn_eval
 from mugnn.semantics import evaluate
 
 
@@ -163,6 +168,99 @@ def test_numpy_path_matches_exact_eval(g1, phi_reach):
         ]
         for n in range(g1.n):
             assert tuple(eval_comb_exact(gnn, snap[n], sums[n])) == nxt[n]
+
+
+@st.composite
+def small_rfnns(draw):
+    """Integer nets whose rows are dense, identity copies or all zero."""
+    widths = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, 5)))]
+    layers = []
+    for cols, rows in zip(widths, widths[1:]):
+        W, bias = [], []
+        for _ in range(rows):
+            kind = draw(st.sampled_from(["dense", "identity", "zero"]))
+            if kind == "identity":
+                row = [0] * cols
+                row[draw(st.integers(0, cols - 1))] = 1
+                b = 0
+            else:
+                w = st.integers(-3, 3) if kind == "dense" else st.just(0)
+                row = draw(st.lists(w, min_size=cols, max_size=cols))
+                b = draw(st.integers(-3, 3))
+            W.append(tuple(row))
+            bias.append(b)
+        layers.append((tuple(W), tuple(bias)))
+    return Rfnn(tuple(layers))
+
+
+def eval_levels(net, samples):
+    n_in = len(samples[0])
+    prog = LevelProgram(net, n_in)
+    V = np.zeros((prog.n_atoms, len(samples)), dtype=np.int64)
+    V[:n_in] = np.array(samples, dtype=np.int64).T
+    return prog.evaluate(V).T.tolist()
+
+
+@given(small_rfnns(), st.data())
+def test_level_program_matches_rfnn_eval(net, data):
+    n_in = len(net.layers[0][0][0])
+    inputs = st.lists(st.integers(-5, 5), min_size=n_in, max_size=n_in)
+    samples = data.draw(st.lists(inputs, min_size=1, max_size=4))
+    assert eval_levels(net, samples) == [rfnn_eval(net, x) for x in samples]
+
+
+def test_level_program_edge_rows():
+    # Layer 0 copies inputs that may be negative, so its ReLU must run;
+    # layer 1 copies two ReLU outputs (aliased) and has an all-zero row with
+    # a bias; the last layer copies hidden rows and has an all-zero row.
+    net = Rfnn((
+        (((1, 0), (0, 1), (1, -1)), (0, 0, 0)),
+        (((1, 0, 0), (0, 0, 0), (0, 0, 1)), (0, 2, 0)),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 0), (1, 1, -1)), (0, 0, 7, 0)),
+    ))
+    samples = [[-3, 2], [4, -1], [0, 0], [-2, -5]]
+    assert eval_levels(net, samples) == [rfnn_eval(net, x) for x in samples]
+    prog = LevelProgram(net, 2)
+    assert prog.n_atoms == 2 + 3 + 1  # only layer 1's zero row is computed
+
+
+def test_malformed_combine_network_rejected(g1, phi_reach):
+    gnn = compile_formula(phi_reach, props=g1.props)
+    short = dataclasses.replace(gnn, comb=Rfnn(gnn.comb.layers[:-1]))
+    with pytest.raises(GnnError):
+        run_gnn(short, g1)
+    W, bias = gnn.comb.layers[0]
+    ragged = ((W[0][:-1],) + W[1:], bias)
+    with pytest.raises(GnnError):
+        run_gnn(dataclasses.replace(gnn, comb=Rfnn((ragged,) + gnn.comb.layers[1:])), g1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mu X.(p | <>X)",
+        "nu X.([2]X & mu Y.(q | <>Y))",
+        "nu X.(mu Y.(p & <>X | <>Y))",
+        "mu X.(q | [1]X)",
+    ],
+)
+def test_trace_with_sinks_and_self_loops(text):
+    # nodes 1, 4 and 5 are sinks; 0 and 3 have self-loops
+    G = make_graph(
+        ["p", "q"],
+        ["0", "1", "2", "3", "4", "5"],
+        [[], ["p"], ["q"], [], ["p", "q"], []],
+        [(0, 0), (0, 1), (0, 2), (2, 3), (3, 3), (3, 4), (2, 5)],
+    )
+    phi = well_name(parse(text))
+    gnn = compile_formula(phi, props=G.props)
+    out, iters, snaps = run_gnn(gnn, G, want_trace=True)
+    xs = []
+    run_extended(phi, G, on_config=lambda kind, x: xs.append(x))
+    assert len(snaps) == len(xs) == iters + 1
+    for snap, x in zip(snaps, xs):
+        assert decode(snap, gnn.layout, gnn.idx, G) == x
+    assert out_mask(out) == evaluate(phi, G)
 
 
 def test_integrality_and_bounds():

@@ -61,6 +61,33 @@ def test_duplicate_edge_rejected():
         graph_from_json(data)
 
 
+def test_node_without_id_rejected():
+    data = dict(G1_JSON, nodes=[{"name": "a"}], edges=[])
+    with pytest.raises(GraphError):
+        graph_from_json(data)
+
+
+def test_nodes_not_a_list_rejected():
+    with pytest.raises(GraphError):
+        graph_from_json(dict(G1_JSON, nodes=5))
+
+
+def test_edge_not_a_pair_rejected():
+    with pytest.raises(GraphError):
+        graph_from_json(dict(G1_JSON, edges=[["0"]]))
+
+
+def test_string_props_rejected():
+    with pytest.raises(GraphError):
+        graph_from_json({"props": "pq", "nodes": [{"id": "a"}], "edges": []})
+
+
+def test_string_node_props_rejected():
+    data = {"props": ["p", "q"], "nodes": [{"id": "a", "props": "pq"}], "edges": []}
+    with pytest.raises(GraphError):
+        graph_from_json(data)
+
+
 def test_label_outside_universe_rejected():
     with pytest.raises(GraphError):
         make_graph(["p"], ["0"], [["z"]], [])
