@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -141,26 +141,6 @@ def layout_to_json(lay: FeatureLayout) -> dict:
         "halt": lay.halt_coord,
         "dim": lay.dim,
     }
-
-
-def layout_from_json(data: dict) -> FeatureLayout:
-    return FeatureLayout(
-        props=tuple(data["props"]),
-        n_rsub=data["n_rsub"],
-        n_fp=data["n_fp"],
-        prop_coord=tuple(data["prop"]),
-        k_coord=data["k"],
-        c_coord=tuple(data["c"]),
-        v_coord=tuple(data["v"]),
-        r_coord=tuple(data["r"]),
-        f_coord=tuple(data["f"]),
-        s_coord=tuple(data["s"]),
-        t_coord=tuple(data["t"]),
-        d_coord=tuple(data["d"]),
-        pad_coord=data["pad"],
-        halt_coord=data["halt"],
-        dim=data["dim"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +441,9 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
     outputs[lay.halt_coord] = halt
 
     comb = b.build(outputs)
-    for W, bias in comb.layers:
-        for row in W:
-            for w in row:
-                if abs(w) > MAX_WEIGHT:
-                    raise GnnError("weight magnitude bound exceeded")
-        for w in bias:
-            if abs(w) > MAX_WEIGHT:
-                raise GnnError("weight magnitude bound exceeded")
+    for rows, bias in comb.layers:
+        if max(map(abs, chain(bias, (c for row in rows for _, c in row))), default=0) > MAX_WEIGHT:
+            raise GnnError("weight magnitude bound exceeded")
 
     return RecurrentGnn(
         formula_text=to_text(phi),
@@ -501,8 +476,9 @@ def _affine(V, src, coef, starts, bias):
 
 
 class LevelProgram:
-    """An Rfnn on `n_in` inputs compiled to one sparse affine program per
-    level, over an atom buffer V with `n_atoms` rows and a column per sample.
+    """An Rfnn compiled to one sparse affine program per level, over an atom
+    buffer V with `n_atoms` rows and a column per sample, whose first
+    `comb.input_width` rows are the inputs.
 
     An identity row (one weight 1, bias 0) of a hidden layer after the first
     is not computed: it aliases its source, a ReLU output, which is >= 0 and
@@ -510,32 +486,40 @@ class LevelProgram:
     the first layer read raw inputs and rows of the last layer have no ReLU,
     so both are always computed.  Raises GnnError on malformed layers."""
 
-    def __init__(self, comb: Rfnn, n_in: int):
+    def __init__(self, comb: Rfnn):
         if not comb.layers:
             raise GnnError("combine network has no layers")
-        col_atom = np.arange(n_in)  # the atom holding each input column
-        self.n_atoms = n_in
+        col_atom = np.arange(comb.input_width)  # the atom holding each input column
+        self.n_atoms = comb.input_width
         self.hidden = []  # (first atom written, level) per hidden level
         last = len(comb.layers) - 1
         for li, (W, bias) in enumerate(comb.layers):
             try:
-                W = np.array(W, dtype=np.int64).reshape(len(W), len(col_atom))
-                bias = np.array(bias, dtype=np.int64).reshape(len(W))
+                if len(bias) != len(W):
+                    raise ValueError(f"{len(W)} rows but {len(bias)} biases")
+                nnz = np.fromiter(map(len, W), dtype=np.intp, count=len(W))
+                if set(map(len, chain.from_iterable(W))) - {2}:
+                    raise ValueError("a row entry is not a (column, coefficient) pair")
+                flat = chain.from_iterable(chain.from_iterable(W))
+                pairs = np.fromiter(flat, dtype=np.int64, count=2 * nnz.sum())
+                bias = np.fromiter(bias, dtype=np.int64, count=len(W))
             except (ValueError, TypeError, OverflowError) as e:
                 raise GnnError(f"combine layer {li} is malformed: {e}") from None
-            rows, cols = np.nonzero(W)
-            nnz = np.bincount(rows, minlength=len(W))
+            cols, coefs = pairs[0::2], pairs[1::2]
+            if len(cols) and (cols.min() < 0 or cols.max() >= len(col_atom)):
+                raise GnnError(f"combine layer {li} reads a column outside [0, {len(col_atom)})")
+            rows = np.repeat(np.arange(len(W)), nnz)
             computed = np.ones(len(W), dtype=bool)
             alias = alias_col = rows[:0]
             if 0 < li < last:
                 one = np.flatnonzero(nnz == 1)
-                one_col = cols[(np.cumsum(nnz) - nnz)[one]]
-                copy = (W[one, one_col] == 1) & (bias[one] == 0)
-                alias, alias_col = one[copy], one_col[copy]
+                at = (np.cumsum(nnz) - nnz)[one]
+                copy = (coefs[at] == 1) & (bias[one] == 0)
+                alias, alias_col = one[copy], cols[at[copy]]
                 computed[alias] = False
             keep = computed[rows]
-            rows, cols = rows[keep], cols[keep]
-            src, coef = col_atom[cols], W[rows, cols]
+            rows = rows[keep]
+            src, coef = col_atom[cols[keep]], coefs[keep]
             empty = np.flatnonzero(computed & (nnz == 0))
             if len(empty):
                 order = np.argsort(np.concatenate([rows, empty]), kind="stable")
@@ -558,7 +542,7 @@ class LevelProgram:
         read = np.zeros(self.n_atoms, dtype=bool)
         for _, level in self.hidden + [(0, self.last)]:
             read[level[0]] = True
-        self.inputs_used = np.flatnonzero(read[:n_in])  # input atoms some level reads
+        self.inputs_used = np.flatnonzero(read[: comb.input_width])  # input atoms some level reads
         self.out_width = len(self.last[2])
 
     def evaluate(self, V: np.ndarray) -> np.ndarray:
@@ -576,7 +560,9 @@ class _Rounds:
 
     def __init__(self, gnn: RecurrentGnn, G: LabeledGraph):
         dim = gnn.dim
-        self.prog = LevelProgram(gnn.comb, 2 * dim)
+        if gnn.comb.input_width != 2 * dim:
+            raise GnnError(f"combine network reads {gnn.comb.input_width} inputs, not {2 * dim}")
+        self.prog = LevelProgram(gnn.comb)
         if self.prog.out_width != dim:
             raise GnnError(f"combine network outputs {self.prog.out_width} values, not {dim}")
         if not (0 <= gnn.hlt_index < dim and 0 <= gnn.out_index < dim):
@@ -656,8 +642,14 @@ def eval_comb_exact(gnn: RecurrentGnn, own, neighbor_sum):
 # Serialization
 
 
+MODEL_FORMAT = 2
+
+
 def gnn_to_json(gnn: RecurrentGnn) -> dict:
+    """The model file: each combine row is a flat [col, coef, col, coef, ...]
+    list of its nonzero coefficients; the first layer reads 2 * dim inputs."""
     return {
+        "format": MODEL_FORMAT,
         "dim": gnn.dim,
         "formula": gnn.formula_text,
         "layout": layout_to_json(gnn.layout),
@@ -671,8 +663,7 @@ def gnn_to_json(gnn: RecurrentGnn) -> dict:
         "layer": [
             {
                 "rows": len(W),
-                "cols": len(W[0]) if W else 0,
-                "weights": [list(row) for row in W],
+                "weights": [list(chain.from_iterable(row)) for row in W],
                 "bias": list(bias),
             }
             for W, bias in gnn.comb.layers
@@ -682,24 +673,73 @@ def gnn_to_json(gnn: RecurrentGnn) -> dict:
     }
 
 
-def gnn_from_json(data: dict) -> RecurrentGnn:
-    phi = well_name(parse(data["formula"]))
-    idx = index(phi)
-    layout = layout_from_json(data["layout"])
-    layers = tuple(
-        (
-            tuple(tuple(int(w) for w in row) for row in layer["weights"]),
-            tuple(int(w) for w in layer["bias"]),
+def _is_ints(values) -> bool:
+    return isinstance(values, list) and set(map(type, values)) <= {int}
+
+
+def gnn_from_json(data) -> RecurrentGnn:
+    """Rebuild a model from `gnn_to_json` output.  Raises GnnError (or
+    FormulaError for the formula text) if the file is malformed, of another
+    format, or its layout, width or indices do not belong to its formula."""
+    if not isinstance(data, dict):
+        raise GnnError("model file is not a JSON object")
+    if data.get("format") != MODEL_FORMAT:
+        raise GnnError(
+            f"model file format {data.get('format')!r} is not {MODEL_FORMAT}; "
+            "re-run `mugnn compile` to rebuild it"
         )
-        for layer in data["layer"]
-    )
+    text = data.get("formula")
+    if not isinstance(text, str):
+        raise GnnError('"formula" is not a string')
+    idx = index(well_name(parse(text)))
+    lay = data.get("layout")
+    if not isinstance(lay, dict):
+        raise GnnError('"layout" is not an object')
+    props = lay.get("props")
+    if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
+        raise GnnError("layout props are not a list of strings")
+    layout = make_layout(idx, props)
+    if layout_to_json(layout) != lay or data.get("dim") != layout.dim:
+        raise GnnError("layout does not match the formula")
+    out_index = layout.r_coord[idx.root]
+    if data.get("hlt_index") != layout.halt_coord or data.get("out_index") != out_index:
+        raise GnnError("halt or output index does not match the formula")
+    if not isinstance(data.get("layer"), list) or not data["layer"]:
+        raise GnnError('"layer" is not a non-empty list')
+    layers = []
+    width = 2 * layout.dim
+    for li, layer in enumerate(data["layer"]):
+        W = layer.get("weights") if isinstance(layer, dict) else None
+        bias = layer.get("bias") if isinstance(layer, dict) else None
+        if not isinstance(W, list) or not _is_ints(bias) or len(bias) != len(W):
+            raise GnnError(f"layer {li} needs a weights list and as many int biases")
+        bad_row = f"layer {li}: a row is not an even-length list of ints"
+        if not set(map(type, W)) <= {list}:
+            raise GnnError(bad_row)
+        lens = list(map(len, W))
+        flat = list(chain.from_iterable(W))
+        if any(map((1).__and__, lens)) or not _is_ints(flat):
+            raise GnnError(bad_row)
+        cols = flat[0::2]
+        if cols and (min(cols) < 0 or max(cols) >= width):
+            raise GnnError(f"layer {li}: a column is outside the {width} values before it")
+        # Every row has even length, so the layer's flat list pairs up as a
+        # whole; each row is then one slice of those pairs.
+        it = iter(flat)
+        pairs = tuple(zip(it, it))
+        ends = list(accumulate(n >> 1 for n in lens))
+        rows = tuple(map(pairs.__getitem__, map(slice, [0] + ends[:-1], ends)))
+        layers.append((rows, tuple(bias)))
+        width = len(W)
+    if width != layout.dim:
+        raise GnnError(f"combine network outputs {width} values, not {layout.dim}")
     return RecurrentGnn(
-        formula_text=data["formula"],
+        formula_text=text,
         idx=idx,
         layout=layout,
-        comb=Rfnn(layers),
-        hlt_index=data["hlt_index"],
-        out_index=data["out_index"],
+        comb=Rfnn(tuple(layers), 2 * layout.dim),
+        hlt_index=layout.halt_coord,
+        out_index=out_index,
     )
 
 

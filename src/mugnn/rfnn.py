@@ -6,7 +6,7 @@ arithmetic over named inputs (linear combinations plus explicit relu
 nodes, hash-consed) and then lays the resulting DAG out as an Rfnn:
 each relu node gets a depth level, values still needed later are carried
 forward through identity rows (safe because every carried value here is
-nonnegative).
+nonnegative).  Rows are stored sparsely, as (column, coefficient) pairs.
 """
 
 from __future__ import annotations
@@ -16,104 +16,25 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Rfnn:
-    layers: tuple  # ((weights: rows x cols, bias: rows), ...)
+    """`layers` is ((rows, bias), ...).  A row is a tuple of (col, coef)
+    pairs over the previous layer's outputs (the network's inputs for the
+    first layer): only nonzero coefficients, in increasing column order."""
 
-    @property
-    def input_width(self) -> int:
-        return len(self.layers[0][0][0]) if self.layers[0][0] else 0
-
-    @property
-    def output_width(self) -> int:
-        return len(self.layers[-1][1])
+    layers: tuple
+    input_width: int
 
 
 def rfnn_eval(f: Rfnn, x) -> list:
     """Exact evaluation; works for ints, Fractions, floats alike."""
     v = list(x)
+    if len(v) != f.input_width:
+        raise ValueError(f"input width {len(v)}, network reads {f.input_width}")
     last = len(f.layers) - 1
-    for li, (W, b) in enumerate(f.layers):
-        if W and len(W[0]) != len(v):
-            raise ValueError(f"layer {li}: width {len(W[0])} vs input {len(v)}")
-        v = [sum(w * xi for w, xi in zip(row, v)) + bi for row, bi in zip(W, b)]
+    for li, (rows, b) in enumerate(f.layers):
+        v = [sum(c * v[j] for j, c in row) + bi for row, bi in zip(rows, b)]
         if li != last:
             v = [max(0, a) if not isinstance(a, float) else max(0.0, a) for a in v]
     return v
-
-
-# ---------------------------------------------------------------------------
-# Composition
-
-
-def _mat_mul(A, B):
-    # A: p x q, B: q x r
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]) if B else 0))
-        for i in range(len(A))
-    )
-
-
-def _mat_vec(A, v):
-    return tuple(sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A)))
-
-
-def sequential(f: Rfnn, g: Rfnn) -> Rfnn:
-    """g after f; the boundary affine layers are fused (no stray ReLU)."""
-    if f.output_width != g.input_width:
-        raise ValueError("width mismatch in sequential composition")
-    Wf, bf = f.layers[-1]
-    Wg, bg = g.layers[0]
-    fused_W = _mat_mul(Wg, Wf)
-    fused_b = tuple(a + c for a, c in zip(_mat_vec(Wg, bf), bg))
-    return Rfnn(f.layers[:-1] + ((fused_W, fused_b),) + g.layers[1:])
-
-
-def _pad_to_depth(f: Rfnn, depth: int) -> Rfnn:
-    """Append identity affine layers; only sound if f's outputs are nonnegative
-    whenever the padding crosses a ReLU boundary."""
-    layers = list(f.layers)
-    w = f.output_width
-    ident = (tuple(tuple(1 if i == j else 0 for j in range(w)) for i in range(w)), (0,) * w)
-    while len(layers) < depth:
-        layers.append(ident)
-    return Rfnn(tuple(layers))
-
-
-def parallel(f: Rfnn, g: Rfnn) -> Rfnn:
-    """Run f and g side by side on a concatenated input vector."""
-    depth = max(len(f.layers), len(g.layers))
-    f = _pad_to_depth(f, depth)
-    g = _pad_to_depth(g, depth)
-    layers = []
-    for (Wf, bf), (Wg, bg) in zip(f.layers, g.layers):
-        rows = []
-        fcols = len(Wf[0]) if Wf else 0
-        gcols = len(Wg[0]) if Wg else 0
-        for row in Wf:
-            rows.append(tuple(row) + (0,) * gcols)
-        for row in Wg:
-            rows.append((0,) * fcols + tuple(row))
-        layers.append((tuple(rows), tuple(bf) + tuple(bg)))
-    return Rfnn(tuple(layers))
-
-
-def concatenation(f: Rfnn, g: Rfnn) -> Rfnn:
-    """Feed the same input to f and g, concatenating their outputs."""
-    if f.input_width != g.input_width:
-        raise ValueError("width mismatch in concatenation")
-    depth = max(len(f.layers), len(g.layers))
-    f = _pad_to_depth(f, depth)
-    g = _pad_to_depth(g, depth)
-    layers = []
-    for li, ((Wf, bf), (Wg, bg)) in enumerate(zip(f.layers, g.layers)):
-        if li == 0:
-            rows = [tuple(row) for row in Wf] + [tuple(row) for row in Wg]
-        else:
-            fcols = len(Wf[0]) if Wf else 0
-            gcols = len(Wg[0]) if Wg else 0
-            rows = [tuple(row) + (0,) * gcols for row in Wf]
-            rows += [(0,) * fcols + tuple(row) for row in Wg]
-        layers.append((tuple(rows), tuple(bf) + tuple(bg)))
-    return Rfnn(tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -275,49 +196,36 @@ class CircuitBuilder:
                 if needed[a] and last_use[a] > 0:
                     raise ValueError("cannot carry a possibly-negative input across ReLU")
 
-        # slots per level; level 0 is all inputs so widths line up with callers
-        slots = [list(range(n_in))]
-        slot_pos = [{a: a for a in range(n_in)}]
-        for t in range(1, L + 1):
-            atoms = [
-                a
-                for a in range(n_atoms)
-                if needed[a] and self.levels[a] <= t <= last_use[a]
-            ]
-            slots.append(atoms)
-            slot_pos.append({a: i for i, a in enumerate(atoms)})
+        # slots per level; level 0 is all inputs so widths line up with callers.
+        # A level lists its atoms in increasing id, so a row whose terms are
+        # taken in atom order has increasing columns.
+        slots = [list(range(n_in))] + [[] for _ in range(L)]
+        for a in range(n_atoms):
+            if needed[a]:
+                for t in range(max(self.levels[a], 1), last_use[a] + 1):
+                    slots[t].append(a)
+        slot_pos = [{a: i for i, a in enumerate(atoms)} for atoms in slots]
+
+        def row(e, prev):
+            return tuple((prev[a], c) for a, c in sorted(e.terms.items()))
 
         layers = []
         for t in range(1, L + 1):
             prev = slot_pos[t - 1]
-            width = len(slots[t - 1])
             rows = []
             bias = []
             for a in slots[t]:
-                row = [0] * width
                 if self.levels[a] == t:
                     e = self.relu_exprs[a - n_in]
-                    for dep, c in e.terms.items():
-                        row[prev[dep]] = c
+                    rows.append(row(e, prev))
                     bias.append(e.const)
                 else:
-                    row[prev[a]] = 1
+                    rows.append(((prev[a], 1),))
                     bias.append(0)
-                rows.append(tuple(row))
             layers.append((tuple(rows), tuple(bias)))
-
         prev = slot_pos[L]
-        width = len(slots[L])
-        rows = []
-        bias = []
-        for e in outputs:
-            row = [0] * width
-            for a, c in e.terms.items():
-                row[prev[a]] = c
-            rows.append(tuple(row))
-            bias.append(e.const)
-        layers.append((tuple(rows), tuple(bias)))
-        return Rfnn(tuple(layers))
+        layers.append((tuple(row(e, prev) for e in outputs), tuple(e.const for e in outputs)))
+        return Rfnn(tuple(layers), n_in)
 
 
 # ---------------------------------------------------------------------------

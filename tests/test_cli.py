@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from mugnn.cli import main
+from mugnn.gnn import compile_formula, gnn_to_json
 from mugnn.graph import graph_to_json
 
 
@@ -107,6 +108,43 @@ def test_run_bad_model_exit_2(runner, tmp_path, g1_path):
     bad.write_text("{}")
     res = invoke(runner, "run", str(bad), g1_path)
     assert res.exit_code == 2
+
+
+def _dense_format(data):
+    """The same model in the dense layout written before model format 2."""
+    width = 2 * data["dim"]
+    del data["format"]
+    for layer in data["layer"]:
+        dense = []
+        for row in layer["weights"]:
+            full = [0] * width
+            for col, coef in zip(row[0::2], row[1::2]):
+                full[col] = coef
+            dense.append(full)
+        layer.update(cols=width, weights=dense)
+        width = layer["rows"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda d: {**d, "formula": 5},
+        lambda d: {**d, "layout": []},
+        lambda d: {**d, "layer": 3},
+        lambda d: [d],
+        _dense_format,
+    ],
+    ids=["formula-not-a-string", "layout-not-an-object", "layer-not-a-list",
+         "top-level-list", "dense-format-1"],
+)
+def test_run_malformed_model_exit_2(runner, tmp_path, g1_path, damage):
+    data = gnn_to_json(compile_formula(REACH, props=["p", "q"]))
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(damage(data)))
+    res = invoke(runner, "run", str(bad), g1_path)
+    assert res.exit_code == 2
+    assert "cannot load model" in res.output
 
 
 def test_run_universe_mismatch_exit_3(runner, tmp_path, g1_path):

@@ -180,30 +180,29 @@ def small_rfnns(draw):
         for _ in range(rows):
             kind = draw(st.sampled_from(["dense", "identity", "zero"]))
             if kind == "identity":
-                row = [0] * cols
-                row[draw(st.integers(0, cols - 1))] = 1
+                row = ((draw(st.integers(0, cols - 1)), 1),)
                 b = 0
             else:
                 w = st.integers(-3, 3) if kind == "dense" else st.just(0)
-                row = draw(st.lists(w, min_size=cols, max_size=cols))
+                dense = draw(st.lists(w, min_size=cols, max_size=cols))
+                row = tuple((j, c) for j, c in enumerate(dense) if c)
                 b = draw(st.integers(-3, 3))
-            W.append(tuple(row))
+            W.append(row)
             bias.append(b)
         layers.append((tuple(W), tuple(bias)))
-    return Rfnn(tuple(layers))
+    return Rfnn(tuple(layers), widths[0])
 
 
 def eval_levels(net, samples):
-    n_in = len(samples[0])
-    prog = LevelProgram(net, n_in)
+    prog = LevelProgram(net)
     V = np.zeros((prog.n_atoms, len(samples)), dtype=np.int64)
-    V[:n_in] = np.array(samples, dtype=np.int64).T
+    V[: net.input_width] = np.array(samples, dtype=np.int64).T
     return prog.evaluate(V).T.tolist()
 
 
 @given(small_rfnns(), st.data())
 def test_level_program_matches_rfnn_eval(net, data):
-    n_in = len(net.layers[0][0][0])
+    n_in = net.input_width
     inputs = st.lists(st.integers(-5, 5), min_size=n_in, max_size=n_in)
     samples = data.draw(st.lists(inputs, min_size=1, max_size=4))
     assert eval_levels(net, samples) == [rfnn_eval(net, x) for x in samples]
@@ -214,25 +213,50 @@ def test_level_program_edge_rows():
     # layer 1 copies two ReLU outputs (aliased) and has an all-zero row with
     # a bias; the last layer copies hidden rows and has an all-zero row.
     net = Rfnn((
-        (((1, 0), (0, 1), (1, -1)), (0, 0, 0)),
-        (((1, 0, 0), (0, 0, 0), (0, 0, 1)), (0, 2, 0)),
-        (((1, 0, 0), (0, 1, 0), (0, 0, 0), (1, 1, -1)), (0, 0, 7, 0)),
-    ))
+        ((((0, 1),), ((1, 1),), ((0, 1), (1, -1))), (0, 0, 0)),
+        ((((0, 1),), (), ((2, 1),)), (0, 2, 0)),
+        ((((0, 1),), ((1, 1),), (), ((0, 1), (1, 1), (2, -1))), (0, 0, 7, 0)),
+    ), 2)
     samples = [[-3, 2], [4, -1], [0, 0], [-2, -5]]
     assert eval_levels(net, samples) == [rfnn_eval(net, x) for x in samples]
-    prog = LevelProgram(net, 2)
+    prog = LevelProgram(net)
     assert prog.n_atoms == 2 + 3 + 1  # only layer 1's zero row is computed
+
+
+def _replace_row(comb, li, i, row):
+    W, bias = comb.layers[li]
+    layer = (W[:i] + (row,) + W[i + 1 :], bias)
+    return Rfnn(comb.layers[:li] + (layer,) + comb.layers[li + 1 :], comb.input_width)
 
 
 def test_malformed_combine_network_rejected(g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
-    short = dataclasses.replace(gnn, comb=Rfnn(gnn.comb.layers[:-1]))
-    with pytest.raises(GnnError):
-        run_gnn(short, g1)
-    W, bias = gnn.comb.layers[0]
-    ragged = ((W[0][:-1],) + W[1:], bias)
-    with pytest.raises(GnnError):
-        run_gnn(dataclasses.replace(gnn, comb=Rfnn((ragged,) + gnn.comb.layers[1:])), g1)
+    comb = gnn.comb
+    broken = [
+        Rfnn(comb.layers[:-1], comb.input_width),  # outputs the wrong width
+        _replace_row(comb, 0, 0, ((comb.input_width, 1),)),  # column out of range
+        _replace_row(comb, 1, 0, ((-1, 1),)),  # negative column
+        _replace_row(comb, 1, 0, ((0, 1, 2),)),  # a triple, not a pair
+        _replace_row(comb, 1, 0, ((0, 1, 2), (3,))),  # a triple and a single
+        _replace_row(comb, 1, 0, (0, 1)),  # ints, not pairs
+        Rfnn(comb.layers, comb.input_width - 1),  # wrong input width
+    ]
+    for net in broken:
+        with pytest.raises(GnnError):
+            run_gnn(dataclasses.replace(gnn, comb=net), g1)
+
+
+def test_compiled_rows_are_sparse_and_sorted():
+    rng = random.Random(55)
+    for _ in range(30):
+        phi = random_formula(rng, max_size=14)
+        gnn = compile_formula(phi)
+        assert gnn.comb.input_width == 2 * gnn.dim
+        for W, _ in gnn.comb.layers:
+            for row in W:
+                cols = [c for c, _ in row]
+                assert all(a < b for a, b in zip(cols, cols[1:]))
+                assert all(c != 0 for _, c in row)
 
 
 @pytest.mark.parametrize(
@@ -312,9 +336,55 @@ def test_serialization_roundtrip(tmp_path, g1, phi_reach):
     assert gnn_to_json(gnn_from_json(gnn_to_json(gnn))) == gnn_to_json(gnn)
 
 
+def _set(path, value):
+    def damage(data):
+        *keys, last = path
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return data
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _set(["format"], 1),
+        _set(["formula"], ["mu X.(p | <>X)"]),
+        _set(["layout", "k"], 0),
+        _set(["layout", "props"], "pq"),
+        _set(["dim"], 25),
+        _set(["out_index"], 0),
+        _set(["hlt_index"], 0),
+        _set(["layer", 0], []),
+        _set(["layer", 0, "bias"], [0]),
+        _set(["layer", 0, "weights", 0], 5),
+        _set(["layer", 0, "weights", 0], [0, 1, 2]),
+        _set(["layer", 0, "weights", 0], [0, 1.0]),
+        _set(["layer", 0, "weights", 0], [0, True]),
+        _set(["layer", 0, "weights", 0], [48, 1]),
+        _set(["layer", 1, "weights", 0], [-1, 1]),
+        lambda data: {**data, "layer": data["layer"][:-1]},
+    ],
+    ids=["format-1", "formula-list", "layout-changed", "string-props", "dim", "out-index",
+         "hlt-index", "layer-not-an-object", "bias-length", "row-not-a-list", "odd-row",
+         "float-coef", "bool-coef", "first-layer-column-2dim", "negative-column",
+         "output-width"],
+)
+def test_malformed_model_json_rejected(g1, phi_reach, damage):
+    data = gnn_to_json(compile_formula(phi_reach, props=g1.props))
+    assert data["dim"] == 24 and gnn_from_json(json.loads(json.dumps(data))).dim == 24
+    with pytest.raises(GnnError):
+        gnn_from_json(damage(data))
+
+
 def test_model_json_shape(g1, phi_reach):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))
     assert set(data) >= {"dim", "layout", "init", "layer", "hlt_index", "out_index"}
     json.dumps(data)  # serializable
+    assert data["format"] == 2
     for layer in data["layer"]:
         assert layer["rows"] == len(layer["weights"])
+        assert all(len(row) % 2 == 0 for row in layer["weights"])
