@@ -21,7 +21,7 @@ from .gnn import (
     run_gnn,
     save_gnn,
 )
-from .graph import GraphError, graph_to_json, load_graph
+from .graph import GraphError, graph_to_json, load_graph, mask_of
 from .semantics import evaluate, model_check_stable
 
 EXIT_PARSE = 2
@@ -63,13 +63,8 @@ def _run_engine(phi, G, engine, max_steps=None):
         cfg = x.config
         return cfg.R[cfg.idx.root], cfg.k, steps
     if engine == "gnn":
-        gnn = compile_formula(phi, props=G.props)
-        out, iters, _ = run_gnn(gnn, G, max_steps=max_steps)
-        mask = 0
-        for n, bit in enumerate(out):
-            if bit:
-                mask |= 1 << n
-        return mask, None, iters
+        out, iters, _ = run_gnn(compile_formula(phi, props=G.props), G, max_steps=max_steps)
+        return mask_of(n for n, bit in enumerate(out) if bit), None, iters
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -151,11 +146,8 @@ def run(model, graph, max_steps, pretty):
         _fail(EXIT_SAFEGUARD, str(e))
     except GnnError as e:
         _fail(EXIT_GRAPH, str(e))
-    mask = 0
-    for n, bit in enumerate(out):
-        if bit:
-            mask |= 1 << n
     phi = well_name(parse(gnn.formula_text))
+    mask = mask_of(n for n, bit in enumerate(out) if bit)
     _emit(_report(phi, G, graph, "gnn", mask, None, iters, time.perf_counter() - t0), pretty)
 
 
@@ -186,6 +178,8 @@ def compare(formula, graph, trials, seed, max_steps):
                 results[engine], _, _ = _run_engine(phi, G, engine, max_steps)
         except SafeguardExceeded as e:
             _fail(EXIT_SAFEGUARD, str(e))
+        except (FormulaError, GnnError) as e:
+            _fail(EXIT_PARSE, str(e))
         baseline = results["oracle"]
         bad = {e: m for e, m in results.items() if m != baseline}
         if bad:
@@ -259,6 +253,8 @@ def trace(formula, graph, engine, max_steps):
                 lines.append(entry)
     except SafeguardExceeded as e:
         _fail(EXIT_SAFEGUARD, str(e))
+    except (FormulaError, GnnError) as e:
+        _fail(EXIT_PARSE, str(e))
     for entry in lines:
         click.echo(json.dumps(entry))
 

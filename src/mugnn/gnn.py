@@ -45,7 +45,7 @@ from .formula import (
     well_name,
 )
 from .graph import LabeledGraph
-from .rfnn import CircuitBuilder, Rfnn, rfnn_eval
+from .rfnn import CircuitBuilder, Rfnn
 
 MAX_WEIGHT = 2**40
 
@@ -458,107 +458,116 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
 # ---------------------------------------------------------------------------
 # Execution
 #
-# A run keeps every value it computes in one int64 buffer V with a row per
+# A run keeps every value it computes in one float64 buffer V with a row per
 # atom and a column per node: rows [0, dim) are the node states x, rows
-# [dim, 2*dim) the neighbour sums y, and the rows after them the ReLU units
-# of the combine network, level by level.
-
-
-def _affine(V, src, coef, starts, bias):
-    """Row i is the sum of `coef * V[src]` over [starts[i], starts[i+1]) plus
-    bias[i].  No group may be empty: `reduceat` gives the next element for
-    an empty one, so a row without nonzeros holds a zero-coefficient entry."""
-    if not len(starts):
-        return np.zeros((0, V.shape[1]), dtype=np.int64)
-    Z = np.add.reduceat(V[src] * coef, starts, axis=0)
-    Z += bias
-    return Z
+# [dim, 2*dim) the neighbour sums y, row 2*dim is all ones, and the rows
+# after it the ReLU units of the combine network, level by level.
 
 
 class LevelProgram:
-    """An Rfnn compiled to one sparse affine program per level, over an atom
-    buffer V with `n_atoms` rows and a column per sample, whose first
-    `comb.input_width` rows are the inputs.
+    """An Rfnn compiled to one dense float64 matrix per level, over the atoms
+    that level reads in a buffer V of `n_atoms` rows and a column per sample:
+    the first `comb.input_width` rows are the inputs and the next, all ones,
+    is the atom the biases multiply.  An identity row (one weight 1, bias 0)
+    of a hidden layer after the first is not computed: it aliases its source,
+    a ReLU output, which is >= 0 and so unchanged by the ReLU.  This drops
+    the builder's carry rows.  Rows of the first layer, which read raw
+    inputs, and of the last, which has no ReLU, are always computed.
 
-    An identity row (one weight 1, bias 0) of a hidden layer after the first
-    is not computed: it aliases its source, a ReLU output, which is >= 0 and
-    so unchanged by the ReLU.  This drops the builder's carry rows.  Rows of
-    the first layer read raw inputs and rows of the last layer have no ReLU,
-    so both are always computed.  Raises GnnError on malformed layers."""
+    If no input exceeds M in magnitude, no atom exceeds alpha*M + beta: (1, 0)
+    for an input, (0, 1) for the ones atom, and for a computed row the sums
+    of |w|*alpha and |w|*beta over the atoms it reads.  That sum bounds every
+    product and partial sum of the row in any order, so while it is <= 2**52
+    (2**53 less a bit for the bound's own rounding) the integer arithmetic is
+    exact.  `max_input` is the largest such M.  Raises GnnError on malformed
+    layers."""
 
     def __init__(self, comb: Rfnn):
-        if not comb.layers:
+        layers = comb.layers
+        if not layers:
             raise GnnError("combine network has no layers")
-        col_atom = np.arange(comb.input_width)  # the atom holding each input column
-        self.n_atoms = comb.input_width
-        self.hidden = []  # (first atom written, level) per hidden level
-        last = len(comb.layers) - 1
-        for li, (W, bias) in enumerate(comb.layers):
-            try:
-                if len(bias) != len(W):
-                    raise ValueError(f"{len(W)} rows but {len(bias)} biases")
-                nnz = np.fromiter(map(len, W), dtype=np.intp, count=len(W))
-                if set(map(len, chain.from_iterable(W))) - {2}:
-                    raise ValueError("a row entry is not a (column, coefficient) pair")
-                flat = chain.from_iterable(chain.from_iterable(W))
-                pairs = np.fromiter(flat, dtype=np.int64, count=2 * nnz.sum())
-                bias = np.fromiter(bias, dtype=np.int64, count=len(W))
-            except (ValueError, TypeError, OverflowError) as e:
-                raise GnnError(f"combine layer {li} is malformed: {e}") from None
-            cols, coefs = pairs[0::2], pairs[1::2]
-            if len(cols) and (cols.min() < 0 or cols.max() >= len(col_atom)):
-                raise GnnError(f"combine layer {li} reads a column outside [0, {len(col_atom)})")
-            rows = np.repeat(np.arange(len(W)), nnz)
-            computed = np.ones(len(W), dtype=bool)
-            alias = alias_col = rows[:0]
-            if 0 < li < last:
-                one = np.flatnonzero(nnz == 1)
-                at = (np.cumsum(nnz) - nnz)[one]
-                copy = (coefs[at] == 1) & (bias[one] == 0)
-                alias, alias_col = one[copy], cols[at[copy]]
-                computed[alias] = False
-            keep = computed[rows]
-            rows = rows[keep]
-            src, coef = col_atom[cols[keep]], coefs[keep]
-            empty = np.flatnonzero(computed & (nnz == 0))
-            if len(empty):
-                order = np.argsort(np.concatenate([rows, empty]), kind="stable")
-                src = np.concatenate([src, np.zeros_like(empty)])[order]
-                coef = np.concatenate([coef, np.zeros(len(empty), dtype=np.int64)])[order]
-                nnz[empty] = 1
-            out_rows = np.flatnonzero(computed)
-            counts = nnz[out_rows]
-            level = (src, coef[:, None], np.cumsum(counts) - counts, bias[out_rows][:, None])
-            if li == last:
-                self.last = level
-                break
-            next_atom = np.empty(len(W), dtype=col_atom.dtype)
-            next_atom[alias] = col_atom[alias_col]
-            next_atom[out_rows] = self.n_atoms + np.arange(len(out_rows))
-            if len(out_rows):
-                self.hidden.append((self.n_atoms, level))
-            self.n_atoms += len(out_rows)
-            col_atom = next_atom
-        read = np.zeros(self.n_atoms, dtype=bool)
-        for _, level in self.hidden + [(0, self.last)]:
-            read[level[0]] = True
-        self.inputs_used = np.flatnonzero(read[: comb.input_width])  # input atoms some level reads
-        self.out_width = len(self.last[2])
+        try:
+            sizes = [len(W) for W, _ in layers]
+            if [len(b) for _, b in layers] != sizes:
+                raise ValueError("a layer has not one bias per row")
+            rows = tuple(chain.from_iterable(W for W, _ in layers))
+            nnz = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+            if set(map(len, chain.from_iterable(rows))) - {2}:
+                raise ValueError("a row entry is not a (column, coefficient) pair")
+            flat = chain.from_iterable(chain.from_iterable(rows))
+            pairs = np.fromiter(flat, dtype=np.int64, count=2 * nnz.sum())
+            bias = np.fromiter(chain.from_iterable(b for _, b in layers), np.int64, len(rows))
+        except (ValueError, TypeError, OverflowError) as e:
+            raise GnnError(f"combine network is malformed: {e}") from None
+        ones, last = comb.input_width, len(layers) - 1
+        cols, coefs = pairs[0::2], pairs[1::2]
+        lay = np.repeat(np.arange(last + 1), sizes)  # the layer of each row
+        entry_row = np.repeat(np.arange(len(rows)), nnz)
+        entry_lay = lay[entry_row]
+        if ((cols < 0) | (cols >= np.array([ones] + sizes[:-1])[entry_lay])).any():
+            raise GnnError("a combine row reads a column outside the layer before it")
+        # Slots are the inputs, then every row; column c of layer l is slot
+        # base[l] + c.  A copy row holds the value of the slot it copies, or
+        # of that slot's source if it is a copy too.  The computed rows are
+        # atoms, numbered in order after the ones atom.
+        base = np.cumsum([0, ones] + sizes)[: last + 1]
+        at = np.cumsum(nnz) - nnz
+        copy = np.flatnonzero((nnz == 1) & (bias == 0) & (lay > 0) & (lay < last))
+        copy = copy[coefs[at[copy]] == 1]
+        holder = np.arange(ones + len(rows))
+        holder[ones + copy] = base[lay[copy]] + cols[at[copy]]
+        while (holder[holder] != holder).any():
+            holder = holder[holder]
+        computed = holder[ones:] == np.arange(ones, len(holder))
+        atom = np.concatenate([np.arange(ones), ones + np.cumsum(computed)])
+        k = np.bincount(lay[computed], minlength=last + 1)  # rows per level
+        lo = ones + 1 + np.cumsum(k) - k  # the first atom of each level
+        self.n_atoms = lo[last]
+        # Entries (row, atom, weight) of computed rows, a bias as a weight on
+        # the ones atom; bincount sums two columns that alias one atom.
+        r = np.concatenate([entry_row, np.arange(len(rows))])
+        a = np.concatenate([atom[holder[base[entry_lay] + cols]], np.full(len(rows), ones)])
+        w = np.concatenate([coefs, bias]) * computed[r]
+        r, a, w = r[w != 0], a[w != 0], w[w != 0]
+        lv = lay[r]
+        read = np.zeros((last + 1, self.n_atoms), dtype=bool)
+        read[lv, a] = True
+        u = read.sum(axis=1)  # the number of atoms each level reads
+        size = k * u
+        off = np.cumsum(size) - size
+        at = off[lv] + (atom[ones + r] - lo[lv]) * u[lv] + (np.cumsum(read, axis=1) - 1)[lv, a]
+        weights = np.bincount(at, weights=w, minlength=size.sum())
+        AB = np.zeros((lo[last] + k[last], 2))  # (alpha, beta) per atom and output
+        AB[:ones, 0] = AB[ones, 1] = 1
+        self.hidden = []  # (first atom, end, matrix, atoms read) per hidden level
+        for li in range(last + 1):
+            used = np.flatnonzero(read[li])
+            M = weights[off[li] : off[li] + size[li]].reshape(k[li], u[li])
+            AB[lo[li] : lo[li] + k[li]] = np.abs(M) @ AB[used]
+            if li < last and k[li]:
+                self.hidden.append((lo[li], lo[li] + k[li], M, used))
+        self.last = (M, used)
+        self.input_read = read[0, :ones]  # only layer 0 reads inputs
+        self.out_width = sizes[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # alpha = 0: no limit
+            self.max_input = float(np.fmin.reduce((2.0**52 - AB[:, 1]) / AB[:, 0]))
 
-    def evaluate(self, V: np.ndarray) -> np.ndarray:
-        """Fill the ReLU rows of V from its input rows; return the outputs."""
-        for lo, level in self.hidden:
-            Z = _affine(V, *level)
+    def evaluate(self, V: np.ndarray, out: np.ndarray) -> None:
+        """Fill the ReLU rows of V from its input rows, and `out` with the
+        outputs.  Exact if no input exceeds `max_input` in magnitude."""
+        for lo, hi, M, used in self.hidden:
+            Z = np.matmul(M, V.take(used, axis=0), out=V[lo:hi])
             np.maximum(Z, 0, out=Z)
-            V[lo : lo + len(Z)] = Z
-        return _affine(V, *self.last)
+        M, used = self.last
+        np.matmul(M, V.take(used, axis=0), out=out)
 
 
 class _Rounds:
-    """Rounds of one model on one graph.  The state X is the first `dim` rows
-    of the atom buffer and is updated in place."""
+    """Rounds of one model on one graph from the given per-node vectors.  The
+    state X, the first `dim` rows of the atom buffer, is checked to stay below
+    `limit`, so that a neighbour sum stays within the program's `max_input`."""
 
-    def __init__(self, gnn: RecurrentGnn, G: LabeledGraph):
+    def __init__(self, gnn: RecurrentGnn, G: LabeledGraph, vectors):
         dim = gnn.dim
         if gnn.comb.input_width != 2 * dim:
             raise GnnError(f"combine network reads {gnn.comb.input_width} inputs, not {2 * dim}")
@@ -567,16 +576,23 @@ class _Rounds:
             raise GnnError(f"combine network outputs {self.prog.out_width} values, not {dim}")
         if not (0 <= gnn.hlt_index < dim and 0 <= gnn.out_index < dim):
             raise GnnError("halt or output index outside the feature vector")
-        used = self.prog.inputs_used
-        self.ys = used[used >= dim]  # the neighbour sums the network reads
+        self.ys = dim + np.flatnonzero(self.prog.input_read[dim:])  # the sums the network reads
         self.xs = self.ys - dim
         # Source-sorted edge index: G.adj already lists edges by source.
         deg = np.fromiter(map(len, G.adj), dtype=np.intp, count=G.n)
         self.dst = np.fromiter(chain.from_iterable(G.adj), dtype=np.intp, count=int(deg.sum()))
         self.sources = np.flatnonzero(deg)
         self.starts = (np.cumsum(deg) - deg)[self.sources]
-        self.V = np.zeros((self.prog.n_atoms, G.n), dtype=np.int64)
+        self.limit = min(MAX_WEIGHT, self.prog.max_input / max(1, deg.max(initial=0)))
+        self.V = np.zeros((self.prog.n_atoms, G.n))
+        self.V[2 * dim] = 1  # the ones atom
         self.X = self.V[:dim]
+        self.X[...] = np.array(vectors, dtype=np.float64).reshape(G.n, dim).T
+        self.check()
+
+    def check(self) -> None:
+        if self.X.max(initial=0) >= self.limit or self.X.min(initial=0) <= -self.limit:
+            raise GnnError("activation magnitude bound exceeded")
 
     def step(self) -> None:
         V = self.V
@@ -586,19 +602,16 @@ class _Rounds:
                 V[self.ys] = S
             else:  # sinks keep their zero neighbour sums
                 V[self.ys[:, None], self.sources] = S
-        Z = self.prog.evaluate(V)
-        if Z.max(initial=0) >= MAX_WEIGHT or Z.min(initial=0) <= -MAX_WEIGHT:
-            raise GnnError("activation magnitude bound exceeded")
-        self.X[...] = Z
+        self.prog.evaluate(V, self.X)
+        self.check()
 
     def vectors(self) -> tuple:
-        return tuple(map(tuple, self.X.T.tolist()))
+        return tuple(map(tuple, self.X.T.astype(np.int64).tolist()))
 
 
 def apply_layer(gnn: RecurrentGnn, G: LabeledGraph, vectors):
     """One synchronous round: every node combines (own, neighbor-sum)."""
-    rounds = _Rounds(gnn, G)
-    rounds.X[...] = np.array(vectors, dtype=np.int64).reshape(G.n, gnn.dim).T
+    rounds = _Rounds(gnn, G, vectors)
     rounds.step()
     return rounds.vectors()
 
@@ -615,27 +628,18 @@ def run_gnn(
             f"graph universe {list(G.props)} does not match model universe {list(gnn.props)}"
         )
     limit = max_steps if max_steps is not None else safeguard(gnn.idx, G) + 1
-    rounds = _Rounds(gnn, G)
-    X = rounds.X
-    X[...] = np.array(
-        [gnn.init_vector(labels) for labels in G.labels], dtype=np.int64
-    ).reshape(G.n, gnn.dim).T
+    rounds = _Rounds(gnn, G, [gnn.init_vector(labels) for labels in G.labels])
     trace = [rounds.vectors()] if want_trace else None
     iters = 0
-    while not (X[gnn.hlt_index] > 0).all():
+    while not (rounds.X[gnn.hlt_index] > 0).all():
         if iters >= limit:
             raise SafeguardExceeded(f"GNN run exceeded {limit} iterations")
         rounds.step()
         if want_trace:
             trace.append(rounds.vectors())
         iters += 1
-    out = (X[gnn.out_index] > 0).tolist()
+    out = (rounds.X[gnn.out_index] > 0).tolist()
     return out, iters, trace
-
-
-def eval_comb_exact(gnn: RecurrentGnn, own, neighbor_sum):
-    """Pure-Python exact evaluation of the combine network for one node."""
-    return rfnn_eval(gnn.comb, list(own) + list(neighbor_sum))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from mugnn.cli import main
-from mugnn.gnn import compile_formula, gnn_to_json
+from mugnn.gnn import GnnError, compile_formula, gnn_to_json
 from mugnn.graph import graph_to_json
 
 
@@ -216,6 +216,29 @@ def test_trace_gnn_line_count_matches_iterations(runner, g1_path):
     lines = res.output.splitlines()
     assert res.exit_code == 0
     assert len(lines) == iters + 1
+
+
+def test_trace_gnn_prints_no_floats(runner, g1_path):
+    def no_float(text):
+        raise AssertionError(f"float {text} in a trace line")
+
+    res = invoke(runner, "trace", REACH, g1_path, "--engine", "gnn")
+    assert res.exit_code == 0
+    for line in res.output.splitlines():
+        json.loads(line, parse_float=no_float)
+
+
+@pytest.mark.parametrize("command", [["trace", "--engine", "gnn"], ["compare"]])
+def test_gnn_error_exit_2(runner, g1_path, monkeypatch, command):
+    import mugnn.cli as cli_mod
+
+    def broken(*a, **kw):
+        raise GnnError("activation magnitude bound exceeded")
+
+    monkeypatch.setattr(cli_mod, "run_gnn", broken)
+    res = invoke(runner, command[0], REACH, g1_path, *command[1:])
+    assert res.exit_code == 2
+    assert "error: activation magnitude bound exceeded" in res.output
 
 
 def test_trace_safeguard_exit_4(runner, g1_path):

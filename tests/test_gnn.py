@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mugnn.counting import (
     ExtendedConfiguration,
@@ -21,7 +21,6 @@ from mugnn.gnn import (
     compile_formula,
     decode,
     encode,
-    eval_comb_exact,
     gnn_from_json,
     gnn_to_json,
     LevelProgram,
@@ -167,13 +166,15 @@ def test_numpy_path_matches_exact_eval(g1, phi_reach):
             for n in range(g1.n)
         ]
         for n in range(g1.n):
-            assert tuple(eval_comb_exact(gnn, snap[n], sums[n])) == nxt[n]
+            assert tuple(rfnn_eval(gnn.comb, snap[n] + sums[n])) == nxt[n]
 
 
 @st.composite
-def small_rfnns(draw):
-    """Integer nets whose rows are dense, identity copies or all zero."""
-    widths = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, 5)))]
+def small_rfnns(draw, coef=3, max_layers=4):
+    """Integer nets whose rows are dense (coefficients and bias in
+    [-coef, coef]), identity copies or all zero.  Two identity rows may copy
+    one column, so a row of the next layer can read one atom twice."""
+    widths = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, max_layers + 1)))]
     layers = []
     for cols, rows in zip(widths, widths[1:]):
         W, bias = [], []
@@ -183,10 +184,10 @@ def small_rfnns(draw):
                 row = ((draw(st.integers(0, cols - 1)), 1),)
                 b = 0
             else:
-                w = st.integers(-3, 3) if kind == "dense" else st.just(0)
+                w = st.integers(-coef, coef) if kind == "dense" else st.just(0)
                 dense = draw(st.lists(w, min_size=cols, max_size=cols))
                 row = tuple((j, c) for j, c in enumerate(dense) if c)
-                b = draw(st.integers(-3, 3))
+                b = draw(st.integers(-coef, coef))
             W.append(row)
             bias.append(b)
         layers.append((tuple(W), tuple(bias)))
@@ -195,9 +196,12 @@ def small_rfnns(draw):
 
 def eval_levels(net, samples):
     prog = LevelProgram(net)
-    V = np.zeros((prog.n_atoms, len(samples)), dtype=np.int64)
-    V[: net.input_width] = np.array(samples, dtype=np.int64).T
-    return prog.evaluate(V).T.tolist()
+    V = np.zeros((prog.n_atoms, len(samples)))
+    V[: net.input_width] = np.array(samples, dtype=np.float64).T
+    V[net.input_width] = 1  # the ones atom
+    out = np.empty((prog.out_width, len(samples)))
+    prog.evaluate(V, out)
+    return out.T.tolist()
 
 
 @given(small_rfnns(), st.data())
@@ -206,6 +210,29 @@ def test_level_program_matches_rfnn_eval(net, data):
     inputs = st.lists(st.integers(-5, 5), min_size=n_in, max_size=n_in)
     samples = data.draw(st.lists(inputs, min_size=1, max_size=4))
     assert eval_levels(net, samples) == [rfnn_eval(net, x) for x in samples]
+
+
+@given(small_rfnns(coef=2**20, max_layers=3), st.data())
+def test_level_program_exact_up_to_proved_bound(net, data):
+    # Float64 levels must equal exact integer evaluation on every input up
+    # to the proved bound, the bound itself included.
+    bound = LevelProgram(net).max_input
+    assume(bound >= 0)
+    m = int(bound)
+    x = st.one_of(st.sampled_from([m, -m]), st.integers(-m, m))
+    inputs = st.lists(x, min_size=net.input_width, max_size=net.input_width)
+    samples = data.draw(st.lists(inputs, min_size=1, max_size=4))
+    assert eval_levels(net, samples) == [rfnn_eval(net, x) for x in samples]
+
+
+def test_level_program_bound_values():
+    # One row 3*x0 - 5*x1 + 7: alpha = 8 and beta = 7, so M* = (2**52 - 7) / 8.
+    row = ((0, 3), (1, -5))
+    assert LevelProgram(Rfnn((((row,), (7,)),), 2)).max_input == (2**52 - 7) / 8
+    # Levels compose: relu(2*x0) read with weight 3 and bias 1 gives (6, 1).
+    hidden, out = (((0, 2),),), (((0, 3),),)
+    net = Rfnn(((hidden, (0,)), (out, (1,))), 1)
+    assert LevelProgram(net).max_input == (2**52 - 1) / 6
 
 
 def test_level_program_edge_rows():
@@ -220,7 +247,7 @@ def test_level_program_edge_rows():
     samples = [[-3, 2], [4, -1], [0, 0], [-2, -5]]
     assert eval_levels(net, samples) == [rfnn_eval(net, x) for x in samples]
     prog = LevelProgram(net)
-    assert prog.n_atoms == 2 + 3 + 1  # only layer 1's zero row is computed
+    assert prog.n_atoms == 2 + 1 + 3 + 1  # inputs, ones, layer 0, layer 1's zero row
 
 
 def _replace_row(comb, li, i, row):
@@ -301,6 +328,45 @@ def test_integrality_and_bounds():
                 assert k <= G.n + 1
                 for fi in range(gnn.idx.n_fp):
                     assert v[gnn.layout.c_coord[fi]] <= k - 1 <= G.n
+
+
+def test_vectors_are_python_ints(g1, phi_reach):
+    gnn = compile_formula(phi_reach, props=g1.props)
+    _, _, snaps = run_gnn(gnn, g1, want_trace=True)
+    stepped = apply_layer(gnn, g1, snaps[0])
+    assert stepped == snaps[1]
+    for vecs in snaps + [stepped]:
+        assert isinstance(vecs, tuple)
+        assert {type(a) for v in vecs for a in v} == {int}
+
+
+def test_state_beyond_run_limit_raises():
+    # Scaling the halt row by 2**30 leaves the halting rule as it is but cuts
+    # the proved input bound to below 2**16, far below MAX_WEIGHT.  A state
+    # at or beyond the run limit, max_input over the largest out-degree
+    # (2 here), must raise GnnError rather than yield a value.
+    G = make_graph(["p", "q"], ["a", "b", "c"], [[], ["q"], ["p"]], [(0, 1), (0, 2), (1, 2)])
+    gnn = compile_formula(parse("mu X.(p | <>X)"), props=G.props)
+    last = len(gnn.comb.layers) - 1
+    (W, bias), h = gnn.comb.layers[last], gnn.hlt_index
+    assert bias[h] == 0
+    row = tuple((c, w * 2**30) for c, w in W[h])
+    gnn = dataclasses.replace(gnn, comb=_replace_row(gnn.comb, last, h, row))
+    bound = LevelProgram(gnn.comb).max_input
+    assert 2**10 < bound < 2**16
+    x = ExtendedConfiguration(initial_configuration(gnn.idx, G, 1), frozenset())
+    vecs = [list(v) for v in encode(x, gnn.layout)]
+    k = gnn.layout.k_coord
+    vecs[0][k] = int(bound / 2) - 1  # inside the limit: runs
+    assert apply_layer(gnn, G, vecs)[0][k] == vecs[0][k]
+    for i, value in [(k, int(bound / 2) + 1), (k, -int(bound / 2) - 1), (k, 2**40), (k, 2**70),
+                     (gnn.hlt_index, int(bound / 2) + 1)]:  # an input the network ignores
+        bad = [v[:] for v in vecs]
+        bad[0][i] = value
+        with pytest.raises(GnnError):
+            apply_layer(gnn, G, bad)
+    with pytest.raises(GnnError):  # the halt row reaches 2**30 when the run halts
+        run_gnn(gnn, G)
 
 
 def test_run_on_empty_graph():
