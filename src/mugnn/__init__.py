@@ -23,7 +23,6 @@ from .graph import (
 from .semantics import (
     adorn,
     evaluate,
-    evaluate_adorned,
     is_jk_stable,
     is_k_stable,
     model_check_stable,

@@ -139,13 +139,15 @@ def run(model, graph, max_steps, pretty):
         G = load_graph(graph)
     except GraphError as e:
         _fail(EXIT_GRAPH, str(e))
+    if tuple(G.props) != gnn.props:
+        _fail(EXIT_GRAPH, f"graph universe {list(G.props)} is not the model's {list(gnn.props)}")
     t0 = time.perf_counter()
     try:
         out, iters, _ = run_gnn(gnn, G, max_steps=max_steps)
     except SafeguardExceeded as e:
         _fail(EXIT_SAFEGUARD, str(e))
     except GnnError as e:
-        _fail(EXIT_GRAPH, str(e))
+        _fail(EXIT_PARSE, str(e))
     phi = well_name(parse(gnn.formula_text))
     mask = mask_of(n for n, bit in enumerate(out) if bit)
     _emit(_report(phi, G, graph, "gnn", mask, None, iters, time.perf_counter() - t0), pretty)

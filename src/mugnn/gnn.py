@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
@@ -251,6 +252,21 @@ class RecurrentGnn:
     def props(self) -> tuple[str, ...]:
         return self.layout.props
 
+    @cached_property
+    def program(self) -> LevelProgram:
+        """The combine network compiled for runs: built on first use and then
+        kept with the model.  Raises GnnError if the network does not read
+        `2 * dim` inputs and write `dim` outputs, or an index is outside them."""
+        dim = self.dim
+        if self.comb.input_width != 2 * dim:
+            raise GnnError(f"combine network reads {self.comb.input_width} inputs, not {2 * dim}")
+        prog = LevelProgram(self.comb)
+        if prog.out_width != dim:
+            raise GnnError(f"combine network outputs {prog.out_width} values, not {dim}")
+        if not (0 <= self.hlt_index < dim and 0 <= self.out_index < dim):
+            raise GnnError("halt or output index outside the feature vector")
+        return prog
+
     def init_vector(self, labels) -> tuple:
         lay, idx = self.layout, self.idx
         v = [0] * lay.dim
@@ -460,27 +476,24 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
 #
 # A run keeps every value it computes in one float64 buffer V with a row per
 # atom and a column per node: rows [0, dim) are the node states x, rows
-# [dim, 2*dim) the neighbour sums y, row 2*dim is all ones, and the rows
-# after it the ReLU units of the combine network, level by level.
+# [dim, 2*dim) the neighbour sums y, the rows after them the ReLU atoms of
+# the combine network, level by level, and the last row is all ones.
 
 
 class LevelProgram:
     """An Rfnn compiled to one dense float64 matrix per level, over the atoms
-    that level reads in a buffer V of `n_atoms` rows and a column per sample:
-    the first `comb.input_width` rows are the inputs and the next, all ones,
-    is the atom the biases multiply.  An identity row (one weight 1, bias 0)
-    of a hidden layer after the first is not computed: it aliases its source,
-    a ReLU output, which is >= 0 and so unchanged by the ReLU.  This drops
-    the builder's carry rows.  Rows of the first layer, which read raw
-    inputs, and of the last, which has no ReLU, are always computed.
+    that level reads in a buffer V of `n_atoms` rows and a column per sample.
+    Row a of V is atom a of the network, its inputs first, and the row after
+    the last atom, all ones, is the one the biases multiply.
 
     If no input exceeds M in magnitude, no atom exceeds alpha*M + beta: (1, 0)
-    for an input, (0, 1) for the ones atom, and for a computed row the sums
+    for an input, (0, 1) for the ones row, and for a computed row the sums
     of |w|*alpha and |w|*beta over the atoms it reads.  That sum bounds every
     product and partial sum of the row in any order, so while it is <= 2**52
     (2**53 less a bit for the bound's own rounding) the integer arithmetic is
     exact.  `max_input` is the largest such M.  Raises GnnError on malformed
-    layers."""
+    levels, among them a row that reads an atom of its own level or a later
+    one."""
 
     def __init__(self, comb: Rfnn):
         layers = comb.layers
@@ -499,55 +512,42 @@ class LevelProgram:
             bias = np.fromiter(chain.from_iterable(b for _, b in layers), np.int64, len(rows))
         except (ValueError, TypeError, OverflowError) as e:
             raise GnnError(f"combine network is malformed: {e}") from None
-        ones, last = comb.input_width, len(layers) - 1
+        n_in, last = comb.input_width, len(layers) - 1
         cols, coefs = pairs[0::2], pairs[1::2]
-        lay = np.repeat(np.arange(last + 1), sizes)  # the layer of each row
+        lo = n_in + np.cumsum([0] + sizes[:-1])  # the first atom of each level
+        lay = np.repeat(np.arange(last + 1), sizes)  # the level of each row
         entry_row = np.repeat(np.arange(len(rows)), nnz)
-        entry_lay = lay[entry_row]
-        if ((cols < 0) | (cols >= np.array([ones] + sizes[:-1])[entry_lay])).any():
-            raise GnnError("a combine row reads a column outside the layer before it")
-        # Slots are the inputs, then every row; column c of layer l is slot
-        # base[l] + c.  A copy row holds the value of the slot it copies, or
-        # of that slot's source if it is a copy too.  The computed rows are
-        # atoms, numbered in order after the ones atom.
-        base = np.cumsum([0, ones] + sizes)[: last + 1]
-        at = np.cumsum(nnz) - nnz
-        copy = np.flatnonzero((nnz == 1) & (bias == 0) & (lay > 0) & (lay < last))
-        copy = copy[coefs[at[copy]] == 1]
-        holder = np.arange(ones + len(rows))
-        holder[ones + copy] = base[lay[copy]] + cols[at[copy]]
-        while (holder[holder] != holder).any():
-            holder = holder[holder]
-        computed = holder[ones:] == np.arange(ones, len(holder))
-        atom = np.concatenate([np.arange(ones), ones + np.cumsum(computed)])
-        k = np.bincount(lay[computed], minlength=last + 1)  # rows per level
-        lo = ones + 1 + np.cumsum(k) - k  # the first atom of each level
-        self.n_atoms = lo[last]
-        # Entries (row, atom, weight) of computed rows, a bias as a weight on
-        # the ones atom; bincount sums two columns that alias one atom.
+        if ((cols < 0) | (cols >= lo[lay[entry_row]])).any():
+            raise GnnError("a combine row reads an atom of its own level or a later one")
+        self.n_atoms = lo[last] + 1
+        # Entries (row, atom, weight), a bias as a weight on the ones row;
+        # bincount sums two entries of a row on one atom.
         r = np.concatenate([entry_row, np.arange(len(rows))])
-        a = np.concatenate([atom[holder[base[entry_lay] + cols]], np.full(len(rows), ones)])
-        w = np.concatenate([coefs, bias]) * computed[r]
+        a = np.concatenate([cols, np.full(len(rows), self.n_atoms - 1)])
+        w = np.concatenate([coefs, bias])
         r, a, w = r[w != 0], a[w != 0], w[w != 0]
         lv = lay[r]
         read = np.zeros((last + 1, self.n_atoms), dtype=bool)
         read[lv, a] = True
         u = read.sum(axis=1)  # the number of atoms each level reads
-        size = k * u
+        size = np.array(sizes) * u
         off = np.cumsum(size) - size
-        at = off[lv] + (atom[ones + r] - lo[lv]) * u[lv] + (np.cumsum(read, axis=1) - 1)[lv, a]
+        at = off[lv] + (n_in + r - lo[lv]) * u[lv] + (np.cumsum(read, axis=1) - 1)[lv, a]
         weights = np.bincount(at, weights=w, minlength=size.sum())
-        AB = np.zeros((lo[last] + k[last], 2))  # (alpha, beta) per atom and output
-        AB[:ones, 0] = AB[ones, 1] = 1
+        AB = np.zeros((self.n_atoms, 2))  # (alpha, beta) per atom
+        AB[:n_in, 0] = AB[-1, 1] = 1
         self.hidden = []  # (first atom, end, matrix, atoms read) per hidden level
-        for li in range(last + 1):
+        for li, k in enumerate(sizes):
             used = np.flatnonzero(read[li])
-            M = weights[off[li] : off[li] + size[li]].reshape(k[li], u[li])
-            AB[lo[li] : lo[li] + k[li]] = np.abs(M) @ AB[used]
-            if li < last and k[li]:
-                self.hidden.append((lo[li], lo[li] + k[li], M, used))
+            M = weights[off[li] : off[li] + size[li]].reshape(k, u[li])
+            ab = np.abs(M) @ AB[used]
+            if li < last:
+                AB[lo[li] : lo[li] + k] = ab
+                if k:
+                    self.hidden.append((lo[li], lo[li] + k, M, used))
         self.last = (M, used)
-        self.input_read = read[0, :ones]  # only layer 0 reads inputs
+        AB = np.concatenate([AB, ab])  # and the outputs
+        self.input_read = read[:, :n_in].any(axis=0)
         self.out_width = sizes[-1]
         with np.errstate(divide="ignore", invalid="ignore"):  # alpha = 0: no limit
             self.max_input = float(np.fmin.reduce((2.0**52 - AB[:, 1]) / AB[:, 0]))
@@ -569,13 +569,7 @@ class _Rounds:
 
     def __init__(self, gnn: RecurrentGnn, G: LabeledGraph, vectors):
         dim = gnn.dim
-        if gnn.comb.input_width != 2 * dim:
-            raise GnnError(f"combine network reads {gnn.comb.input_width} inputs, not {2 * dim}")
-        self.prog = LevelProgram(gnn.comb)
-        if self.prog.out_width != dim:
-            raise GnnError(f"combine network outputs {self.prog.out_width} values, not {dim}")
-        if not (0 <= gnn.hlt_index < dim and 0 <= gnn.out_index < dim):
-            raise GnnError("halt or output index outside the feature vector")
+        self.prog = gnn.program
         self.ys = dim + np.flatnonzero(self.prog.input_read[dim:])  # the sums the network reads
         self.xs = self.ys - dim
         # Source-sorted edge index: G.adj already lists edges by source.
@@ -585,7 +579,7 @@ class _Rounds:
         self.starts = (np.cumsum(deg) - deg)[self.sources]
         self.limit = min(MAX_WEIGHT, self.prog.max_input / max(1, deg.max(initial=0)))
         self.V = np.zeros((self.prog.n_atoms, G.n))
-        self.V[2 * dim] = 1  # the ones atom
+        self.V[-1] = 1  # the ones row
         self.X = self.V[:dim]
         self.X[...] = np.array(vectors, dtype=np.float64).reshape(G.n, dim).T
         self.check()
@@ -646,12 +640,13 @@ def run_gnn(
 # Serialization
 
 
-MODEL_FORMAT = 2
+MODEL_FORMAT = 3
 
 
 def gnn_to_json(gnn: RecurrentGnn) -> dict:
-    """The model file: each combine row is a flat [col, coef, col, coef, ...]
-    list of its nonzero coefficients; the first layer reads 2 * dim inputs."""
+    """The model file: each combine row is a flat [atom, coef, atom, coef, ...]
+    list of its nonzero coefficients; atoms 0 .. 2*dim - 1 are the inputs and
+    the rows of each level are the atoms after those of the level before."""
     return {
         "format": MODEL_FORMAT,
         "dim": gnn.dim,
@@ -711,7 +706,7 @@ def gnn_from_json(data) -> RecurrentGnn:
     if not isinstance(data.get("layer"), list) or not data["layer"]:
         raise GnnError('"layer" is not a non-empty list')
     layers = []
-    width = 2 * layout.dim
+    first = 2 * layout.dim  # the first atom of each level, after the inputs
     for li, layer in enumerate(data["layer"]):
         W = layer.get("weights") if isinstance(layer, dict) else None
         bias = layer.get("bias") if isinstance(layer, dict) else None
@@ -725,8 +720,8 @@ def gnn_from_json(data) -> RecurrentGnn:
         if any(map((1).__and__, lens)) or not _is_ints(flat):
             raise GnnError(bad_row)
         cols = flat[0::2]
-        if cols and (min(cols) < 0 or max(cols) >= width):
-            raise GnnError(f"layer {li}: a column is outside the {width} values before it")
+        if cols and (min(cols) < 0 or max(cols) >= first):
+            raise GnnError(f"layer {li}: a column is not one of the {first} atoms before it")
         # Every row has even length, so the layer's flat list pairs up as a
         # whole; each row is then one slice of those pairs.
         it = iter(flat)
@@ -734,9 +729,9 @@ def gnn_from_json(data) -> RecurrentGnn:
         ends = list(accumulate(n >> 1 for n in lens))
         rows = tuple(map(pairs.__getitem__, map(slice, [0] + ends[:-1], ends)))
         layers.append((rows, tuple(bias)))
-        width = len(W)
-    if width != layout.dim:
-        raise GnnError(f"combine network outputs {width} values, not {layout.dim}")
+        first += len(W)
+    if len(W) != layout.dim:
+        raise GnnError(f"combine network outputs {len(W)} values, not {layout.dim}")
     return RecurrentGnn(
         formula_text=text,
         idx=idx,

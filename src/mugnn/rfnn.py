@@ -1,24 +1,29 @@
-"""Exact-arithmetic ReLU feedforward networks and a circuit builder.
+"""Exact-arithmetic ReLU networks, stored as atom DAGs, and a circuit builder.
 
-An Rfnn is a chain of integer affine layers with ReLU between consecutive
-layers (not after the last).  The CircuitBuilder lets the compiler write
-arithmetic over named inputs (linear combinations plus explicit relu
-nodes, hash-consed) and then lays the resulting DAG out as an Rfnn:
-each relu node gets a depth level, values still needed later are carried
-forward through identity rows (safe because every carried value here is
-nonnegative).  Rows are stored sparsely, as (column, coefficient) pairs.
+An Rfnn reads `input_width` inputs, the atoms 0 .. input_width - 1.  Every
+entry of `layers` but the last is a level of ReLU atoms, numbered on from
+the last atom of the level before: each row is an integer affine form over
+atoms of earlier levels, inputs included, and its atom is the ReLU of that
+form.  The last entry holds the output rows, affine forms without a ReLU
+over any atom.  Rows are stored sparsely, as (atom, coefficient) pairs.
+
+The CircuitBuilder lets the compiler write arithmetic over named inputs
+(linear combinations plus explicit relu nodes, hash-consed) and emits the
+relu nodes the outputs need as such a network, each at its depth: one more
+than the deepest atom it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 
 @dataclass(frozen=True)
 class Rfnn:
-    """`layers` is ((rows, bias), ...).  A row is a tuple of (col, coef)
-    pairs over the previous layer's outputs (the network's inputs for the
-    first layer): only nonzero coefficients, in increasing column order."""
+    """`layers` is ((rows, bias), ...), one entry per level and the outputs
+    last.  A row is a tuple of (atom, coef) pairs: only nonzero
+    coefficients, in increasing atom order."""
 
     layers: tuple
     input_width: int
@@ -31,10 +36,10 @@ def rfnn_eval(f: Rfnn, x) -> list:
         raise ValueError(f"input width {len(v)}, network reads {f.input_width}")
     last = len(f.layers) - 1
     for li, (rows, b) in enumerate(f.layers):
-        v = [sum(c * v[j] for j, c in row) + bi for row, bi in zip(rows, b)]
-        if li != last:
-            v = [max(0, a) if not isinstance(a, float) else max(0.0, a) for a in v]
-    return v
+        z = [sum(c * v[j] for j, c in row) + bi for row, bi in zip(rows, b)]
+        if li == last:
+            return z
+        v += [max(0, a) if not isinstance(a, float) else max(0.0, a) for a in z]
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +90,8 @@ class LinExpr:
 
 
 class CircuitBuilder:
-    def __init__(self, n_inputs: int, nonneg_inputs: bool = True):
+    def __init__(self, n_inputs: int):
         self.n_inputs = n_inputs
-        self.nonneg_inputs = nonneg_inputs
         # atom i < n_inputs is input coordinate i; others are relu nodes
         self.relu_exprs: list[LinExpr] = []
         self.levels: list[int] = [0] * n_inputs
@@ -104,6 +108,10 @@ class CircuitBuilder:
     def relu(self, e: LinExpr) -> LinExpr:
         if not e.terms:
             return LinExpr({}, max(0, e.const))
+        if e.const == 0 and len(e.terms) == 1:
+            ((a, c),) = e.terms.items()
+            if c == 1 and a >= self.n_inputs:  # a ReLU atom is its own ReLU
+                return e
         key = e.key()
         aid = self._relu_cache.get(key)
         if aid is None:
@@ -140,9 +148,6 @@ class CircuitBuilder:
             s = s + e
         return self.clip(s)
 
-    def bnot(self, e: LinExpr) -> LinExpr:
-        return 1 - e
-
     def eqb(self, a: LinExpr, b: LinExpr) -> LinExpr:
         """1 iff booleans a and b agree."""
         return 1 - a - b + 2 * self.band(a, b)
@@ -151,18 +156,7 @@ class CircuitBuilder:
         """1 iff natural-valued x >= c."""
         return self.clip(e - (c - 1))
 
-    def exmux(self, default: LinExpr, cases) -> LinExpr:
-        """Select among boolean values by mutually exclusive boolean gates."""
-        gates = [g for g, _ in cases]
-        gsum = self.const(0)
-        for g in gates:
-            gsum = gsum + g
-        out = self.relu(default - gsum)
-        for g, v in cases:
-            out = out + self.relu(v + g - 1)
-        return out
-
-    # -- layout as an Rfnn
+    # -- emit as an Rfnn
 
     def build(self, outputs: list[LinExpr]) -> Rfnn:
         n_in = self.n_inputs
@@ -179,53 +173,22 @@ class CircuitBuilder:
             if a >= n_in:
                 stack.extend(self.relu_exprs[a - n_in].terms)
 
-        L = max((self.levels[a] for a in range(n_atoms) if needed[a]), default=0)
-
-        last_use = [self.levels[a] for a in range(n_atoms)]
+        # Atoms are numbered level by level after the inputs.  A needed atom's
+        # deepest source is needed too, one level down, so no level is empty.
+        depth = max((self.levels[a] for a in range(n_in, n_atoms) if needed[a]), default=0)
+        groups = [[] for _ in range(depth)]
         for a in range(n_in, n_atoms):
-            if not needed[a]:
-                continue
-            for dep in self.relu_exprs[a - n_in].terms:
-                last_use[dep] = max(last_use[dep], self.levels[a] - 1)
-        for e in outputs:
-            for a in e.terms:
-                last_use[a] = max(last_use[a], L)
-
-        if not self.nonneg_inputs:
-            for a in range(n_in):
-                if needed[a] and last_use[a] > 0:
-                    raise ValueError("cannot carry a possibly-negative input across ReLU")
-
-        # slots per level; level 0 is all inputs so widths line up with callers.
-        # A level lists its atoms in increasing id, so a row whose terms are
-        # taken in atom order has increasing columns.
-        slots = [list(range(n_in))] + [[] for _ in range(L)]
-        for a in range(n_atoms):
             if needed[a]:
-                for t in range(max(self.levels[a], 1), last_use[a] + 1):
-                    slots[t].append(a)
-        slot_pos = [{a: i for i, a in enumerate(atoms)} for atoms in slots]
+                groups[self.levels[a] - 1].append(a)
+        atom = {a: i for i, a in enumerate(chain(range(n_in), *groups))}
 
-        def row(e, prev):
-            return tuple((prev[a], c) for a, c in sorted(e.terms.items()))
+        def row(e):
+            return tuple(sorted((atom[a], c) for a, c in e.terms.items()))
 
-        layers = []
-        for t in range(1, L + 1):
-            prev = slot_pos[t - 1]
-            rows = []
-            bias = []
-            for a in slots[t]:
-                if self.levels[a] == t:
-                    e = self.relu_exprs[a - n_in]
-                    rows.append(row(e, prev))
-                    bias.append(e.const)
-                else:
-                    rows.append(((prev[a], 1),))
-                    bias.append(0)
-            layers.append((tuple(rows), tuple(bias)))
-        prev = slot_pos[L]
-        layers.append((tuple(row(e, prev) for e in outputs), tuple(e.const for e in outputs)))
-        return Rfnn(tuple(layers), n_in)
+        exprs = [[self.relu_exprs[a - n_in] for a in g] for g in groups] + [outputs]
+        return Rfnn(
+            tuple((tuple(map(row, es)), tuple(e.const for e in es)) for es in exprs), n_in
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +196,17 @@ class CircuitBuilder:
 
 
 def clip_net() -> Rfnn:
-    b = CircuitBuilder(1, nonneg_inputs=False)
+    b = CircuitBuilder(1)
     return b.build([b.clip(b.inp(0))])
 
 
 def gt_net() -> Rfnn:
-    b = CircuitBuilder(2, nonneg_inputs=False)
+    b = CircuitBuilder(2)
     return b.build([b.clip(b.inp(0) - b.inp(1))])
 
 
 def geq_net() -> Rfnn:
-    b = CircuitBuilder(2, nonneg_inputs=False)
+    b = CircuitBuilder(2)
     return b.build([1 - b.clip(b.inp(1) - b.inp(0))])
 
 
@@ -267,33 +230,3 @@ def mux_net() -> Rfnn:
     b = CircuitBuilder(3)
     g, x, y = b.inp(0), b.inp(1), b.inp(2)
     return b.build([b.relu(x + g - 1) + b.relu(y - g)])
-
-
-def add_net() -> Rfnn:
-    b = CircuitBuilder(2, nonneg_inputs=False)
-    return b.build([b.inp(0) + b.inp(1)])
-
-
-def sub_net() -> Rfnn:
-    b = CircuitBuilder(2, nonneg_inputs=False)
-    return b.build([b.inp(0) - b.inp(1)])
-
-
-def const_net(c: int, width: int = 1) -> Rfnn:
-    b = CircuitBuilder(width, nonneg_inputs=False)
-    return b.build([b.const(c)])
-
-
-def gadgets() -> dict:
-    return {
-        "clip": clip_net(),
-        "gt": gt_net(),
-        "geq": geq_net(),
-        "and": and_net(),
-        "or": or_net(),
-        "not": not_net(),
-        "mux": mux_net(),
-        "add": add_net(),
-        "sub": sub_net(),
-        "const": const_net,
-    }

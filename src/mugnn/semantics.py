@@ -237,10 +237,6 @@ def evaluate(phi: Formula, G: LabeledGraph, V: dict | None = None) -> int:
     return Evaluator(G).evaluate(phi, V or {})
 
 
-def evaluate_adorned(phi, G: LabeledGraph, V: dict | None = None) -> int:
-    return Evaluator(G).evaluate(phi, V or {})
-
-
 def is_k_stable(phi: Formula, G: LabeledGraph, V: dict, n: int, k: int) -> bool:
     return bool(Evaluator(G).stable_set(phi, V, k) >> n & 1)
 

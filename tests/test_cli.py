@@ -110,8 +110,38 @@ def test_run_bad_model_exit_2(runner, tmp_path, g1_path):
     assert res.exit_code == 2
 
 
+def _format_2(data):
+    """The same model as format 2 wrote it: each layer's columns index the
+    outputs of the layer before, and a value read at a later level passes
+    through identity carry rows."""
+    *levels, _ = data["layer"]
+    last_read = {}  # atom -> the last level that reads it
+    for li, layer in enumerate(data["layer"]):
+        for row in layer["weights"]:
+            last_read.update(dict.fromkeys(row[0::2], li))
+    cols = list(range(2 * data["dim"]))  # the atom in each column of the layer before
+    layers = []
+    for li, layer in enumerate(data["layer"]):
+        at = {a: i for i, a in enumerate(cols)}
+        weights = [[x for col, coef in zip(row[0::2], row[1::2]) for x in (at[col], coef)]
+                   for row in layer["weights"]]
+        if li == len(levels):
+            layers.append({**layer, "weights": weights})
+            break
+        carried = [a for a in cols if last_read.get(a, -1) > li]
+        layers.append({
+            "rows": len(carried) + layer["rows"],
+            "weights": [[at[a], 1] for a in carried] + weights,
+            "bias": [0] * len(carried) + layer["bias"],
+        })
+        first = 2 * data["dim"] + sum(lay["rows"] for lay in levels[:li])
+        cols = carried + list(range(first, first + layer["rows"]))
+    return {**data, "format": 2, "layer": layers}
+
+
 def _dense_format(data):
     """The same model in the dense layout written before model format 2."""
+    data = _format_2(data)
     width = 2 * data["dim"]
     del data["format"]
     for layer in data["layer"]:
@@ -134,9 +164,10 @@ def _dense_format(data):
         lambda d: {**d, "layer": 3},
         lambda d: [d],
         _dense_format,
+        _format_2,
     ],
     ids=["formula-not-a-string", "layout-not-an-object", "layer-not-a-list",
-         "top-level-list", "dense-format-1"],
+         "top-level-list", "dense-format-1", "format-2"],
 )
 def test_run_malformed_model_exit_2(runner, tmp_path, g1_path, damage):
     data = gnn_to_json(compile_formula(REACH, props=["p", "q"]))
@@ -228,15 +259,19 @@ def test_trace_gnn_prints_no_floats(runner, g1_path):
         json.loads(line, parse_float=no_float)
 
 
-@pytest.mark.parametrize("command", [["trace", "--engine", "gnn"], ["compare"]])
-def test_gnn_error_exit_2(runner, g1_path, monkeypatch, command):
+@pytest.mark.parametrize("command", [["trace", "--engine", "gnn"], ["compare"], ["run"]])
+def test_gnn_error_exit_2(runner, tmp_path, g1_path, monkeypatch, command):
     import mugnn.cli as cli_mod
 
     def broken(*a, **kw):
         raise GnnError("activation magnitude bound exceeded")
 
+    first = REACH
+    if command[0] == "run":  # run reads a model file, not a formula
+        first = str(tmp_path / "m.json")
+        invoke(runner, "compile", REACH, first, "--props", "p,q")
     monkeypatch.setattr(cli_mod, "run_gnn", broken)
-    res = invoke(runner, command[0], REACH, g1_path, *command[1:])
+    res = invoke(runner, command[0], first, g1_path, *command[1:])
     assert res.exit_code == 2
     assert "error: activation magnitude bound exceeded" in res.output
 

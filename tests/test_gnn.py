@@ -171,34 +171,38 @@ def test_numpy_path_matches_exact_eval(g1, phi_reach):
 
 @st.composite
 def small_rfnns(draw, coef=3, max_layers=4):
-    """Integer nets whose rows are dense (coefficients and bias in
-    [-coef, coef]), identity copies or all zero.  Two identity rows may copy
-    one column, so a row of the next layer can read one atom twice."""
-    widths = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, max_layers + 1)))]
+    """Integer atom DAGs whose rows are dense over every earlier atom
+    (coefficients and bias in [-coef, coef]), copies of one earlier atom or
+    all zero.  A level or the outputs may copy an input, which can be
+    negative, or read it next to atoms of the levels between."""
+    n_in = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, max_layers)))]
     layers = []
-    for cols, rows in zip(widths, widths[1:]):
+    first = n_in  # the first atom of the level being drawn
+    for rows in sizes:
         W, bias = [], []
         for _ in range(rows):
             kind = draw(st.sampled_from(["dense", "identity", "zero"]))
             if kind == "identity":
-                row = ((draw(st.integers(0, cols - 1)), 1),)
+                row = ((draw(st.integers(0, first - 1)), 1),)
                 b = 0
             else:
                 w = st.integers(-coef, coef) if kind == "dense" else st.just(0)
-                dense = draw(st.lists(w, min_size=cols, max_size=cols))
+                dense = draw(st.lists(w, min_size=first, max_size=first))
                 row = tuple((j, c) for j, c in enumerate(dense) if c)
                 b = draw(st.integers(-coef, coef))
             W.append(row)
             bias.append(b)
         layers.append((tuple(W), tuple(bias)))
-    return Rfnn(tuple(layers), widths[0])
+        first += rows
+    return Rfnn(tuple(layers), n_in)
 
 
 def eval_levels(net, samples):
     prog = LevelProgram(net)
     V = np.zeros((prog.n_atoms, len(samples)))
     V[: net.input_width] = np.array(samples, dtype=np.float64).T
-    V[net.input_width] = 1  # the ones atom
+    V[-1] = 1  # the ones row
     out = np.empty((prog.out_width, len(samples)))
     prog.evaluate(V, out)
     return out.T.tolist()
@@ -229,25 +233,27 @@ def test_level_program_bound_values():
     # One row 3*x0 - 5*x1 + 7: alpha = 8 and beta = 7, so M* = (2**52 - 7) / 8.
     row = ((0, 3), (1, -5))
     assert LevelProgram(Rfnn((((row,), (7,)),), 2)).max_input == (2**52 - 7) / 8
-    # Levels compose: relu(2*x0) read with weight 3 and bias 1 gives (6, 1).
-    hidden, out = (((0, 2),),), (((0, 3),),)
+    # Levels compose: atom 1 = relu(2*x0) read with weight 3 and bias 1 gives (6, 1).
+    hidden, out = (((0, 2),),), (((1, 3),),)
     net = Rfnn(((hidden, (0,)), (out, (1,))), 1)
     assert LevelProgram(net).max_input == (2**52 - 1) / 6
 
 
 def test_level_program_edge_rows():
-    # Layer 0 copies inputs that may be negative, so its ReLU must run;
-    # layer 1 copies two ReLU outputs (aliased) and has an all-zero row with
-    # a bias; the last layer copies hidden rows and has an all-zero row.
+    # Level 0 (atoms 2-4) copies inputs that may be negative, so its ReLU
+    # must run; level 1 (atoms 5-7) copies ReLU atoms, has an all-zero row
+    # with a bias and reads input 1 next to atom 2; the outputs copy atoms,
+    # copy a raw input, have an all-zero row and read atoms of both levels.
     net = Rfnn((
         ((((0, 1),), ((1, 1),), ((0, 1), (1, -1))), (0, 0, 0)),
-        ((((0, 1),), (), ((2, 1),)), (0, 2, 0)),
-        ((((0, 1),), ((1, 1),), (), ((0, 1), (1, 1), (2, -1))), (0, 0, 7, 0)),
+        ((((2, 1),), (), ((1, 2), (2, 1), (4, 1))), (0, 2, -1)),
+        ((((5, 1),), ((6, 1),), (), ((1, 1),), ((2, 1), (5, 1), (6, 1), (7, -1))),
+         (0, 0, 7, 0, 0)),
     ), 2)
     samples = [[-3, 2], [4, -1], [0, 0], [-2, -5]]
     assert eval_levels(net, samples) == [rfnn_eval(net, x) for x in samples]
     prog = LevelProgram(net)
-    assert prog.n_atoms == 2 + 1 + 3 + 1  # inputs, ones, layer 0, layer 1's zero row
+    assert prog.n_atoms == 2 + 3 + 3 + 1  # inputs, level 0, level 1, the ones row
 
 
 def _replace_row(comb, li, i, row):
@@ -258,10 +264,14 @@ def _replace_row(comb, li, i, row):
 
 def test_malformed_combine_network_rejected(g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
+    run_gnn(gnn, g1)  # the model's own program is built and kept
     comb = gnn.comb
+    level1 = comb.input_width + len(comb.layers[0][0])  # the first atom of level 1
     broken = [
         Rfnn(comb.layers[:-1], comb.input_width),  # outputs the wrong width
-        _replace_row(comb, 0, 0, ((comb.input_width, 1),)),  # column out of range
+        _replace_row(comb, 0, 0, ((comb.input_width, 1),)),  # an atom of its own level
+        _replace_row(comb, 1, 0, ((level1 + 1, 1),)),  # an atom of its own level
+        _replace_row(comb, 0, 0, ((level1, 1),)),  # an atom of a later level
         _replace_row(comb, 1, 0, ((-1, 1),)),  # negative column
         _replace_row(comb, 1, 0, ((0, 1, 2),)),  # a triple, not a pair
         _replace_row(comb, 1, 0, ((0, 1, 2), (3,))),  # a triple and a single
@@ -279,11 +289,46 @@ def test_compiled_rows_are_sparse_and_sorted():
         phi = random_formula(rng, max_size=14)
         gnn = compile_formula(phi)
         assert gnn.comb.input_width == 2 * gnn.dim
-        for W, _ in gnn.comb.layers:
-            for row in W:
+        first = gnn.comb.input_width  # the first atom of each level
+        for li, (W, bias) in enumerate(gnn.comb.layers):
+            for row, bi in zip(W, bias):
                 cols = [c for c, _ in row]
                 assert all(a < b for a, b in zip(cols, cols[1:]))
                 assert all(c != 0 for _, c in row)
+                assert all(0 <= c < first for c in cols)
+                if li < len(gnn.comb.layers) - 1:  # no hidden row copies a ReLU atom
+                    assert not (bi == 0 and len(row) == 1 and row[0][1] == 1
+                                and row[0][0] >= gnn.comb.input_width)
+            first += len(W)
+
+
+def test_program_built_once_per_model(monkeypatch, g1, phi_reach):
+    import mugnn.gnn as gnn_mod
+
+    builds = []
+
+    class Counted(LevelProgram):
+        def __init__(self, comb):
+            builds.append(comb)
+            super().__init__(comb)
+
+    monkeypatch.setattr(gnn_mod, "LevelProgram", Counted)
+    gnn = compile_formula(phi_reach, props=g1.props)
+    loaded = gnn_from_json(gnn_to_json(gnn))
+    assert builds == []  # compiling and loading do not build it
+    _, _, snaps = run_gnn(gnn, g1, want_trace=True)
+    for before, after in zip(snaps, snaps[1:5]):
+        assert apply_layer(gnn, g1, before) == after
+    run_gnn(gnn, g1)
+    assert builds == [gnn.comb]
+    run_gnn(loaded, g1)
+    assert len(builds) == 2
+    # A copy with another network gets a program of its own.
+    W, bias = gnn.comb.layers[-1]
+    comb = Rfnn(gnn.comb.layers[:-1] + ((W, bias[:-1] + (5,)),), gnn.comb.input_width)
+    changed = dataclasses.replace(gnn, comb=comb)
+    assert apply_layer(changed, g1, snaps[0])[0][-1] == 5
+    assert len(builds) == 3 and builds[-1] is comb
 
 
 @pytest.mark.parametrize(
@@ -414,6 +459,11 @@ def _set(path, value):
     return damage
 
 
+def _atoms(data):
+    """The number of atoms of a model file: inputs and every hidden row."""
+    return 2 * data["dim"] + sum(layer["rows"] for layer in data["layer"][:-1])
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -433,11 +483,16 @@ def _set(path, value):
         _set(["layer", 0, "weights", 0], [48, 1]),
         _set(["layer", 1, "weights", 0], [-1, 1]),
         lambda data: {**data, "layer": data["layer"][:-1]},
+        _set(["format"], 2),
+        lambda data: _set(["layer", 1, "weights", 0], [48 + data["layer"][0]["rows"], 1])(data),
+        lambda data: _set(["layer", 0, "weights", 0], [48 + data["layer"][0]["rows"], 1])(data),
+        lambda data: _set(["layer", -1, "weights", 0], [_atoms(data), 1])(data),
     ],
     ids=["format-1", "formula-list", "layout-changed", "string-props", "dim", "out-index",
          "hlt-index", "layer-not-an-object", "bias-length", "row-not-a-list", "odd-row",
          "float-coef", "bool-coef", "first-layer-column-2dim", "negative-column",
-         "output-width"],
+         "output-width", "format-2", "own-level-atom", "later-level-atom",
+         "output-reads-past-atoms"],
 )
 def test_malformed_model_json_rejected(g1, phi_reach, damage):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))
@@ -450,7 +505,11 @@ def test_model_json_shape(g1, phi_reach):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))
     assert set(data) >= {"dim", "layout", "init", "layer", "hlt_index", "out_index"}
     json.dumps(data)  # serializable
-    assert data["format"] == 2
+    assert data["format"] == 3
+    first = 2 * data["dim"]  # the first atom of each level
     for layer in data["layer"]:
         assert layer["rows"] == len(layer["weights"])
         assert all(len(row) % 2 == 0 for row in layer["weights"])
+        assert all(0 <= col < first for row in layer["weights"] for col in row[0::2])
+        first += layer["rows"]
+    assert _atoms(data) == first - layer["rows"]

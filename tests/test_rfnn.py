@@ -6,18 +6,14 @@ import pytest
 from mugnn.rfnn import (
     CircuitBuilder,
     Rfnn,
-    add_net,
     and_net,
     clip_net,
-    const_net,
-    gadgets,
     geq_net,
     gt_net,
     mux_net,
     not_net,
     or_net,
     rfnn_eval,
-    sub_net,
 )
 
 
@@ -70,24 +66,14 @@ def test_mux_exhaustive():
                 assert rfnn_eval(m, [g, a, b]) == [a if g else b]
 
 
-def test_add_sub_const():
-    assert rfnn_eval(add_net(), [3, 4]) == [7]
-    assert rfnn_eval(sub_net(), [3, 4]) == [-1]
-    assert rfnn_eval(const_net(9), [123]) == [9]
-
-
-def test_gadgets_dict_complete():
-    g = gadgets()
-    assert set(g) == {"clip", "gt", "geq", "and", "or", "not", "mux", "add", "sub", "const"}
-
-
 def test_eval_width_mismatch():
     with pytest.raises(ValueError):
         rfnn_eval(clip_net(), [1, 2])
 
 
 def test_rational_inputs_exact():
-    net = add_net()
+    b = CircuitBuilder(2)
+    net = b.build([b.inp(0) + b.inp(1)])
     got = rfnn_eval(net, [Fraction(1, 3), Fraction(1, 6)])
     assert got == [Fraction(1, 2)]
 
@@ -109,24 +95,36 @@ def test_builder_eqb():
             assert rfnn_eval(net, [a, c]) == [1 if a == c else 0]
 
 
-def test_builder_exmux():
-    b = CircuitBuilder(4)
-    g0, g2, v0, v1 = b.inp(0), b.inp(1), b.inp(2), b.inp(3)
-    net = b.build([b.exmux(v0, [(g0, v1), (g2, b.const(0))])])
-    # gates mutually exclusive
-    for v0v in (0, 1):
-        for v1v in (0, 1):
-            assert rfnn_eval(net, [0, 0, v0v, v1v]) == [v0v]
-            assert rfnn_eval(net, [1, 0, v0v, v1v]) == [v1v]
-            assert rfnn_eval(net, [0, 1, v0v, v1v]) == [0]
-
-
-def test_builder_negative_carry_rejected():
-    b = CircuitBuilder(1, nonneg_inputs=False)
+def test_builder_reads_raw_input_after_relu():
+    # x is read both under two ReLUs and as it is, so a later level reads an
+    # input directly: the output is exact for negative x too.
+    b = CircuitBuilder(1)
     x = b.inp(0)
-    deep = b.relu(b.relu(x) - 1)  # level 2; x itself used at level 2 too
-    with pytest.raises(ValueError):
-        b.build([deep + x])
+    net = b.build([b.relu(b.relu(x) - 1) + x])
+    assert len(net.layers) == 3
+    for v in range(-5, 6):
+        assert rfnn_eval(net, [v]) == [max(0, max(0, v) - 1) + v]
+
+
+def test_builder_emits_atom_dag():
+    # relu(x0 + x1) sits at level 1, relu(relu(x0 + x1) - x1) at level 2;
+    # the level-2 atom and the output read input x1 directly, and the
+    # output reads atoms of both levels.  No row copies a value.
+    b = CircuitBuilder(2)
+    x0, x1 = b.inp(0), b.inp(1)
+    s = b.relu(x0 + x1)
+    t = b.relu(s - x1)
+    b.relu(x0 - 7)  # not needed by the outputs, so not emitted
+    net = b.build([t + s - x1 + 3])
+    assert net == Rfnn((
+        ((((0, 1), (1, 1)),), (0,)),
+        ((((1, -1), (2, 1)),), (0,)),
+        ((((1, -1), (2, 1), (3, 1)),), (3,)),
+    ), 2)
+    for v0 in range(-3, 4):
+        for v1 in range(-3, 4):
+            su = max(0, v0 + v1)
+            assert rfnn_eval(net, [v0, v1]) == [max(0, su - v1) + su - v1 + 3]
 
 
 def test_builder_integer_weights_only():

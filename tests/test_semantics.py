@@ -12,7 +12,6 @@ from mugnn.semantics import (
     SemanticsError,
     adorn,
     evaluate,
-    evaluate_adorned,
     is_jk_stable,
     is_k_stable,
     model_check_stable,
@@ -68,14 +67,14 @@ def test_adorn_zero():
 
 
 def test_adorned_chain_fixture(g1, phi_reach):
-    assert evaluate_adorned(uniform(phi_reach, 1), g1) == 0b100
-    assert evaluate_adorned(uniform(phi_reach, 2), g1) == 0b110
-    assert evaluate_adorned(uniform(phi_reach, 3), g1) == 0b111
+    assert evaluate(uniform(phi_reach, 1), g1) == 0b100
+    assert evaluate(uniform(phi_reach, 2), g1) == 0b110
+    assert evaluate(uniform(phi_reach, 3), g1) == 0b111
 
 
 def test_adorned_base_cases(g1):
-    assert evaluate_adorned(adorn(parse("nu X.<>X"), 0, 0), g1) == g1.full_mask
-    assert evaluate_adorned(adorn(parse("mu X.<>X"), 0, 0), g1) == 0
+    assert evaluate(adorn(parse("nu X.<>X"), 0, 0), g1) == g1.full_mask
+    assert evaluate(adorn(parse("mu X.<>X"), 0, 0), g1) == 0
 
 
 def test_adorned_unfolds_match_manual(g1, phi_reach):
@@ -83,7 +82,7 @@ def test_adorned_unfolds_match_manual(g1, phi_reach):
     ev = Evaluator(g1)
     S = 0
     for i in range(4):
-        assert evaluate_adorned(adorn(phi_reach, i, 4), g1) == S
+        assert evaluate(adorn(phi_reach, i, 4), g1) == S
         S = ev.evaluate(phi_reach.body, {"X": S})
 
 
