@@ -23,8 +23,6 @@ from .graph import (
 from .semantics import (
     adorn,
     evaluate,
-    is_jk_stable,
-    is_k_stable,
     model_check_stable,
     uniform,
 )
@@ -53,6 +51,6 @@ from .gnn import (
     run_gnn,
     save_gnn,
 )
-from .bisim import brute_force_g_bisimilar, color_refinement, g_bisimilar
+from .bisim import color_refinement, g_bisimilar
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Graded bisimulation via color refinement, with a brute-force oracle.
+"""Graded bisimulation via color refinement.
 
 Refinement: start from label sets, then repeatedly refine each node's color
 by the multiset of its out-neighbors' colors.  Two pointed graphs are graded
@@ -10,7 +10,6 @@ to multiset equality of refined neighbor colors on finite graphs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .graph import GraphError, LabeledGraph, disjoint_union
 
@@ -52,31 +51,3 @@ def g_bisimilar(G: LabeledGraph, n: int, H: LabeledGraph, m: int) -> bool:
     U = disjoint_union(G, H)
     coloring = color_refinement(U)
     return coloring.colors[n] == coloring.colors[G.n + m]
-
-
-def brute_force_g_bisimilar(G: LabeledGraph, n: int, H: LabeledGraph, m: int) -> bool:
-    """Greatest-fixpoint search for a graded bisimulation; small graphs only."""
-    if G.props != H.props:
-        raise GraphError("g-bisimilarity needs a common proposition universe")
-    Z = {
-        (a, c)
-        for a in range(G.n)
-        for c in range(H.n)
-        if G.labels[a] == H.labels[c]
-    }
-
-    def ok(a, c, rel):
-        ga, hc = G.adj[a], H.adj[c]
-        if len(ga) != len(hc):
-            return False
-        # a Z-respecting bijection between out-neighbor lists
-        return any(
-            all((u, v) in rel for u, v in zip(ga, perm))
-            for perm in permutations(hc)
-        )
-
-    while True:
-        keep = {(a, c) for a, c in Z if ok(a, c, Z)}
-        if keep == Z:
-            return (n, m) in Z
-        Z = keep

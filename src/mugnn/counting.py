@@ -14,11 +14,17 @@ Transitions:
 The extended system threads a residual set D of variables whose counters
 are being counted back down to zero one step at a time; this is the form
 a ReLU network can simulate (counters only ever change by +-1).
+
+Steps run from the index's step program (`SubformulaIndex.step`): one
+opcode per position with its operands resolved, child masks for the
+validity test, and variable sets as masks over fixpoint indices for the
+reset closure.  Graded clauses count on the graph (`LabeledGraph.at_least`
+and `all_but`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .formula import Formula, FormulaError, SubformulaIndex, index, well_name
 from .graph import LabeledGraph
@@ -48,9 +54,6 @@ class Configuration:
     @property
     def stable(self) -> bool:
         return self.S[self.idx.root] == self.G.full_mask
-
-    def valuation(self) -> dict[str, int]:
-        return {x: self.V[i] for i, x in enumerate(self.idx.var_names)}
 
 
 @dataclass(frozen=True)
@@ -83,124 +86,95 @@ def initial_configuration(idx: SubformulaIndex, G: LabeledGraph, k: int) -> Conf
 
 
 def trans1(cfg: Configuration) -> Configuration:
-    idx, G = cfg.idx, cfg.G
+    G = cfg.G
     full = G.full_mask
-    k = cfg.k
-
-    from .formula import AllBut, And, AtLeast, Mu, NegProp, Nu, Or, Prop, Var
-
+    R, V, C, F, S, T = cfg.R, cfg.V, cfg.C, cfg.F, cfg.S, cfg.T
+    top = cfg.k - 1
     # R' is one synchronous update reading only the old maps; composite
     # clauses therefore take several type-1 passes to propagate upward
-    R2: list[int] = []
-    for p, f in enumerate(idx.formulas):
-        if isinstance(f, Prop):
-            r = G.prop_mask(f.name)
-        elif isinstance(f, NegProp):
-            r = full & ~G.prop_mask(f.name)
-        elif isinstance(f, Var):
-            r = cfg.V[idx.var_index[f.name]]
-        elif isinstance(f, And):
-            r = cfg.R[idx.pos[f.lhs]] & cfg.R[idx.pos[f.rhs]]
-        elif isinstance(f, Or):
-            r = cfg.R[idx.pos[f.lhs]] | cfg.R[idx.pos[f.rhs]]
-        elif isinstance(f, AtLeast):
-            body = cfg.R[idx.pos[f.body]]
-            r = 0
-            for n in range(G.n):
-                if (G.adj_masks[n] & body).bit_count() >= f.grade:
-                    r |= 1 << n
-        elif isinstance(f, AllBut):
-            body = cfg.R[idx.pos[f.body]]
-            r = 0
-            for n in range(G.n):
-                if (G.adj_masks[n] & ~body).bit_count() < f.grade:
-                    r |= 1 << n
-        elif isinstance(f, (Mu, Nu)):
-            r = cfg.R[idx.pos[f.body]]
-        else:
-            raise TypeError(f"not a formula: {f!r}")
+    R2, S2, F2 = [], [], 0
+    for op, a, b, bit, sub in cfg.idx.step.ops:
+        if op == "Or":
+            r, s = R[a] | R[b], S[a] & S[b] & full
+        elif op == "And":
+            r, s = R[a] & R[b], S[a] & S[b] & full
+        elif op == "Var":
+            r, s = V[a], full
+        elif op == "Prop":
+            r, s = G.prop_mask(a), full
+        elif op == "AtLeast":
+            r, s = G.at_least(R[a], b), S[a] & full
+        elif op == "AllBut":
+            r, s = G.all_but(R[a], b), S[a] & full
+        elif op == "NegProp":
+            r, s = full & ~G.prop_mask(a), full
+        else:  # a fixpoint with body a and index b
+            r, s = R[a], S[a] & T[b] & ~(V[b] ^ R2[a]) & full
+            if C[b] < top:  # not valid before its counter reaches k-1
+                bit = 0
         R2.append(r)
-
-    F2 = 0
-    for p in range(idx.n):
-        if all(cfg.F >> c & 1 for c in idx.sub[p]):
-            if idx.is_fp[p] and cfg.C[idx.fp_index[p]] < k - 1:
-                continue
-            F2 |= 1 << p
-
-    S2: list[int] = []
-    for p, f in enumerate(idx.formulas):
-        if idx.is_fp[p]:
-            fi = idx.fp_index[p]
-            b = idx.body_pos[fi]
-            s = cfg.S[b] & cfg.T[fi] & ~(cfg.V[fi] ^ R2[b]) & full
-        else:
-            s = full
-            for c in idx.sub[p]:
-                s &= cfg.S[c]
         S2.append(s)
-
-    return replace(cfg, R=tuple(R2), F=F2, S=tuple(S2))
+        if F & sub == sub:
+            F2 |= bit
+    return Configuration(cfg.idx, G, cfg.k, C, V, tuple(R2), F2, tuple(S2), T)
 
 
 # ---------------------------------------------------------------------------
 # Type-2: tick ready fixpoints, reset dependents.
 
 
-def ticks_reset_dep(cfg: Configuration):
-    """(ticking fixpoints, reset variables, dependent fixpoints), all as index sets."""
-    idx = cfg.idx
-    k = cfg.k
-    ticks = set()
-    for fi, p in enumerate(idx.fp_positions):
-        if not all(cfg.F >> c & 1 for c in idx.sub[p]):
-            continue
-        if cfg.C[fi] >= k - 1:
-            continue
-        if all(cfg.C[bj] == k - 1 for bj in idx.tfp[p]):
-            ticks.add(fi)
-
+def _ticks_reset(cfg: Configuration) -> tuple[int, int]:
+    """(ticking fixpoints, reset variables) as masks over fixpoint indices."""
+    step = cfg.idx.step
+    F, C, top = cfg.F, cfg.C, cfg.k - 1
+    ticks = 0
+    for fi, (sub, tfp) in enumerate(step.binders):
+        if F & sub == sub and C[fi] < top and all(C[j] == top for j in tfp):
+            ticks |= 1 << fi
     # least closure: a variable resets if its binder ticks or if its binder
     # mentions a resetting variable free
-    reset = set(ticks)
-    changed = True
-    while changed:
-        changed = False
-        for vi, p in enumerate(idx.fp_positions):
-            if vi in reset:
-                continue
-            if idx.free[p] & {idx.var_names[r] for r in reset}:
-                reset.add(vi)
-                changed = True
-    dep = reset - ticks
-    return frozenset(ticks), frozenset(reset), frozenset(dep)
+    reset, grown = 0, ticks
+    while grown != reset:
+        reset = grown
+        for bit, free in step.bound:
+            if free & grown:
+                grown |= bit
+    return ticks, reset
+
+
+def _indices(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def ticks_reset_dep(cfg: Configuration):
+    """(ticking fixpoints, reset variables, dependent fixpoints), all as index sets."""
+    ticks, reset = _ticks_reset(cfg)
+    return _indices(ticks), _indices(reset), _indices(reset & ~ticks)
 
 
 def _trans2(cfg: Configuration, keep_dep_counters: bool):
-    idx, G = cfg.idx, cfg.G
-    ticks, reset, dep = ticks_reset_dep(cfg)
+    ticks, reset = _ticks_reset(cfg)
     if not ticks:
         return cfg, frozenset()
-    C2 = list(cfg.C)
-    V2 = list(cfg.V)
-    T2 = list(cfg.T)
-    for fi in ticks:
-        b = idx.body_pos[fi]
-        C2[fi] = cfg.C[fi] + 1
-        V2[fi] = cfg.R[b]
-        T2[fi] = cfg.T[fi] & cfg.S[b]
-    for fi in dep:
-        if not keep_dep_counters:
-            C2[fi] = 0
-        V2[fi] = 0 if idx.is_mu[idx.fp_positions[fi]] else G.full_mask
-        T2[fi] = G.full_mask
-    reset_names = {idx.var_names[r] for r in reset}
+    idx, full = cfg.idx, cfg.G.full_mask
+    C2, V2, T2 = list(cfg.C), list(cfg.V), list(cfg.T)
+    dep = reset & ~ticks
+    for fi, b in enumerate(idx.body_pos):
+        if ticks >> fi & 1:
+            C2[fi] += 1
+            V2[fi] = cfg.R[b]
+            T2[fi] &= cfg.S[b]
+        elif dep >> fi & 1:
+            if not keep_dep_counters:
+                C2[fi] = 0
+            V2[fi] = full if idx.step.nu >> fi & 1 else 0
+            T2[fi] = full
     F2 = cfg.F
-    for p in range(idx.n):
-        if F2 >> p & 1 and idx.free[p] & reset_names:
-            F2 &= ~(1 << p)
-    cfg2 = replace(cfg, C=tuple(C2), V=tuple(V2), F=F2, T=tuple(T2))
-    return cfg2, dep
+    for bit, free in idx.step.open:
+        if free & reset:
+            F2 &= ~bit
+    cfg2 = Configuration(idx, cfg.G, cfg.k, tuple(C2), tuple(V2), cfg.R, F2, cfg.S, tuple(T2))
+    return cfg2, _indices(dep)
 
 
 def trans2(cfg: Configuration) -> Configuration:
@@ -225,8 +199,8 @@ def trans3(cfg: Configuration) -> Configuration:
 def partial_trans3(cfg: Configuration) -> ExtendedConfiguration:
     if not cfg.complete:
         return ExtendedConfiguration(cfg, frozenset())
-    fresh = initial_configuration(cfg.idx, cfg.G, cfg.k + 1)
-    kept = replace(fresh, C=cfg.C)
+    f = initial_configuration(cfg.idx, cfg.G, cfg.k + 1)
+    kept = Configuration(f.idx, f.G, f.k, cfg.C, f.V, f.R, f.F, f.S, f.T)
     return ExtendedConfiguration(kept, frozenset(range(cfg.idx.n_fp)))
 
 
@@ -246,15 +220,11 @@ def etrans_step(x: ExtendedConfiguration) -> ExtendedConfiguration:
         cfg, D = ext.config, ext.D
     if D:
         C2 = list(cfg.C)
-        D2 = set()
         for vi in D:
-            c = cfg.C[vi]
-            if c > 0:
-                C2[vi] = c - 1
-            if c - 1 > 0:
-                D2.add(vi)
-        cfg = replace(cfg, C=tuple(C2))
-        D = frozenset(D2)
+            if C2[vi] > 0:
+                C2[vi] -= 1
+        D = frozenset(vi for vi in D if C2[vi] > 0)
+        cfg = Configuration(cfg.idx, cfg.G, cfg.k, tuple(C2), cfg.V, cfg.R, cfg.F, cfg.S, cfg.T)
     return ExtendedConfiguration(cfg, D)
 
 
@@ -267,7 +237,7 @@ def check_coherent(cfg: Configuration, ev: Evaluator | None = None) -> str | Non
     idx, G, k = cfg.idx, cfg.G, cfg.k
     if ev is None:
         ev = Evaluator(G)
-    V = cfg.valuation()
+    V = dict(zip(idx.var_names, cfg.V))
 
     for fi, p in enumerate(idx.fp_positions):
         if not 0 <= cfg.C[fi] <= k - 1:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 MAX_GRADE = 2**31 - 1
+MAX_DEPTH = 128  # syntax-tree levels `parse` accepts
 
 
 class FormulaError(ValueError):
@@ -164,9 +166,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
+    """Recursive descent; `formula` and `unary` return a tree and its depth."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nest = 0  # parentheses, modalities and binders open
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.i]
@@ -182,58 +187,68 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
 
-    def formula(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
+    def above(self, depth: int, pos: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
+        return depth + 1
 
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "&":
-            self.take()
-            f = And(f, self.unary())
-        return f
+    def formula(self) -> tuple[Formula, int]:
+        """Operands joined by `|` and `&`, `&` binding tighter."""
+        f = d = None
+        while True:
+            g, e = self.unary()
+            while self.peek()[0] == "&":
+                pos = self.take()[2]
+                h, c = self.unary()
+                g, e = And(g, h), self.above(max(e, c), pos)
+            f, d = (g, e) if f is None else (Or(f, g), self.above(max(d, e), or_pos))
+            if self.peek()[0] != "|":
+                return f, d
+            or_pos = self.take()[2]
 
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "dia":
-            self.take()
-            return AtLeast(value, self.unary())
-        if kind == "box":
-            self.take()
-            return AllBut(value, self.unary())
+    def unary(self) -> tuple[Formula, int]:
+        kind, value, pos = self.take()
         if kind == "~":
-            self.take()
             k2, v2, p2 = self.take()
             if k2 != "prop":
                 raise ParseError("negation is only allowed on propositions", p2)
-            return NegProp(v2)
-        if kind in _KEYWORDS:
-            self.take()
+            return NegProp(v2), 1
+        if kind == "prop":
+            return Prop(value), 1
+        if kind == "var":
+            return Var(value), 1
+        if kind not in ("dia", "box", "(", *_KEYWORDS):
+            raise ParseError(f"unexpected token {kind!r}", pos)
+        # checked before descending, so the parser's own recursion is bounded
+        if self.nest >= 2 * MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
+        self.nest += 1
+        if kind == "(":
+            f, d = self.formula()
+            self.expect(")")
+            self.nest -= 1
+            return f, d
+        if kind == "dia" or kind == "box":
+            body, d = self.unary()
+            f = AtLeast(value, body) if kind == "dia" else AllBut(value, body)
+        else:
             var = self.expect("var")[1]
             self.expect(".")
-            body = self.formula()  # fixpoint scope extends maximally right
-            return Mu(var, body) if kind == "mu" else Nu(var, body)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.take()
-        if kind == "(":
-            f = self.formula()
-            self.expect(")")
-            return f
-        if kind == "prop":
-            return Prop(value)
-        if kind == "var":
-            return Var(value)
-        raise ParseError(f"unexpected token {kind!r}", pos)
+            body, d = self.formula()  # fixpoint scope extends maximally right
+            f = Mu(var, body) if kind == "mu" else Nu(var, body)
+        self.nest -= 1
+        return f, self.above(d, pos)
 
 
 def parse(text: str) -> Formula:
+    """Parse the concrete syntax, into a tree at most MAX_DEPTH deep.  An
+    atom is one level; each modality, binder and binary operator adds one
+    above its deepest operand, parentheses none.  At most 2 * MAX_DEPTH
+    parentheses, modalities and binders may be open at once, more than
+    `to_text` ever prints for such a tree.  So no recursive pass over a
+    parsed formula reaches Python's recursion limit."""
     p = _Parser(text)
-    f = p.formula()
+    f, _ = p.formula()
     tok = p.peek()
     if tok[0] != "eof":
         raise ParseError(f"trailing input starting with {tok[0]!r}", tok[2])
@@ -402,6 +417,11 @@ class SubformulaIndex:
             depth.append(d + 1 if self.is_fp[p] else d)
         self.q = depth[self.root] if self.n else 0
 
+    @cached_property
+    def step(self) -> StepProgram:
+        """This index compiled for the counting step, built on first use."""
+        return StepProgram(self)
+
     @property
     def is_sentence(self) -> bool:
         return not self.free[self.root]
@@ -420,3 +440,41 @@ class SubformulaIndex:
 
 def index(phi: Formula) -> SubformulaIndex:
     return SubformulaIndex(phi)
+
+
+class StepProgram:
+    """An index compiled for the counting step (`mugnn.counting`).
+
+    ops[p] is (clause, a, b, 1 << p, mask of p's direct subformulas): clause
+    is the name of the formula's class, and a, b are the name (Prop, NegProp), the
+    variable's fixpoint index (Var), the operand positions (And, Or), the
+    body position and grade (AtLeast, AllBut), or the body position and
+    fixpoint index (Mu, Nu).  Fixpoint i has binders[i] = (mask of its direct
+    subformulas, its strict fixpoint subformulas) and bound[i] = (1 << i, its
+    free variables); `open` is (1 << p, free variables) for every position
+    with some, and `nu` the nu fixpoints.  Variable sets are masks over
+    fixpoint indices.
+    """
+
+    def __init__(self, idx: SubformulaIndex):
+        pos, fix = idx.pos, idx.var_index
+        free = [sum(1 << fix[x] for x in names) for names in idx.free]
+        ops = []
+        for p, f in enumerate(idx.formulas):
+            if isinstance(f, (Prop, NegProp)):
+                a, b = f.name, 0
+            elif isinstance(f, Var):
+                a, b = fix[f.name], 0
+            elif isinstance(f, (And, Or)):
+                a, b = pos[f.lhs], pos[f.rhs]
+            elif isinstance(f, (AtLeast, AllBut)):
+                a, b = pos[f.body], f.grade
+            else:
+                a, b = pos[f.body], fix[f.var]
+            ops.append((type(f).__name__, a, b, 1 << p, sum(1 << c for c in idx.sub[p])))
+        self.ops = tuple(ops)
+        fps = idx.fp_positions
+        self.binders = tuple((ops[p][4], tuple(sorted(idx.tfp[p]))) for p in fps)
+        self.bound = tuple((1 << i, free[p]) for i, p in enumerate(fps))
+        self.open = tuple((1 << p, m) for p, m in enumerate(free) if m)
+        self.nu = sum(1 << i for i, p in enumerate(fps) if not idx.is_mu[p])

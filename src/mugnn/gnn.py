@@ -572,12 +572,8 @@ class _Rounds:
         self.prog = gnn.program
         self.ys = dim + np.flatnonzero(self.prog.input_read[dim:])  # the sums the network reads
         self.xs = self.ys - dim
-        # Source-sorted edge index: G.adj already lists edges by source.
-        deg = np.fromiter(map(len, G.adj), dtype=np.intp, count=G.n)
-        self.dst = np.fromiter(chain.from_iterable(G.adj), dtype=np.intp, count=int(deg.sum()))
-        self.sources = np.flatnonzero(deg)
-        self.starts = (np.cumsum(deg) - deg)[self.sources]
-        self.limit = min(MAX_WEIGHT, self.prog.max_input / max(1, deg.max(initial=0)))
+        self.edges = G.edge_index
+        self.limit = min(MAX_WEIGHT, self.prog.max_input / max(1, self.edges.max_degree))
         self.V = np.zeros((self.prog.n_atoms, G.n))
         self.V[-1] = 1  # the ones row
         self.X = self.V[:dim]
@@ -589,13 +585,13 @@ class _Rounds:
             raise GnnError("activation magnitude bound exceeded")
 
     def step(self) -> None:
-        V = self.V
-        if len(self.dst) and len(self.ys):
-            S = np.add.reduceat(V[self.xs[:, None], self.dst], self.starts, axis=1)
-            if len(self.sources) == V.shape[1]:
+        V, E = self.V, self.edges
+        if len(E.dst) and len(self.ys):
+            S = np.add.reduceat(V[self.xs[:, None], E.dst], E.starts, axis=1)
+            if len(E.sources) == V.shape[1]:
                 V[self.ys] = S
             else:  # sinks keep their zero neighbour sums
-                V[self.ys[:, None], self.sources] = S
+                V[self.ys[:, None], E.sources] = S
         self.prog.evaluate(V, self.X)
         self.check()
 

@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -14,19 +17,23 @@ class GraphError(ValueError):
 # A NodeSet is a plain int used as a bitmask over node indices 0..n-1.
 
 
-def nodes_of(mask: int):
-    """Iterate the node indices present in a bitmask."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def mask_of(nodes) -> int:
     out = 0
     for n in nodes:
         out |= 1 << n
     return out
+
+
+class EdgeIndex:
+    """Edges sorted by source, as numpy arrays: their targets `dst`, the nodes
+    with an out-edge `sources`, and where each one's edges begin, `starts`."""
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...]):
+        deg = np.fromiter(map(len, adj), dtype=np.intp, count=len(adj))
+        self.dst = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(deg.sum()))
+        self.sources = np.flatnonzero(deg)
+        self.starts = (np.cumsum(deg) - deg)[self.sources]
+        self.max_degree = int(deg.max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,8 @@ class LabeledGraph:
         return (1 << self.n) - 1
 
     @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(out) for out in self.adj)
+    def edge_index(self) -> EdgeIndex:
+        return EdgeIndex(self.adj)
 
     @cached_property
     def _prop_masks(self) -> dict[str, int]:
@@ -62,10 +69,27 @@ class LabeledGraph:
         except KeyError:
             raise GraphError(f"proposition {p!r} not in universe {list(self.props)}")
 
-    def out_neighbors(self, n: int) -> list[int]:
-        if not 0 <= n < self.n:
-            raise GraphError(f"node index {n} out of range")
-        return list(self.adj[n])
+    @cached_property
+    def _out_masks(self) -> tuple[tuple[int, int], ...]:
+        return tuple((1 << n, mask_of(out)) for n, out in enumerate(self.adj))
+
+    def at_least(self, mask: int, grade: int) -> int:
+        """Nodes with at least `grade` out-neighbours in `mask`."""
+        out = 0
+        if grade == 1:  # the common case needs no count
+            for bit, succ in self._out_masks:
+                if succ & mask:
+                    out |= bit
+            return out
+        for bit, succ in self._out_masks:
+            if (succ & mask).bit_count() >= grade:
+                out |= bit
+        return out
+
+    def all_but(self, mask: int, grade: int) -> int:
+        """Nodes with fewer than `grade` out-neighbours outside `mask`."""
+        full = self.full_mask
+        return full & ~self.at_least(full & ~mask, grade)
 
 
 def make_graph(props, node_ids, labels, edges) -> LabeledGraph:

@@ -112,22 +112,6 @@ class Evaluator:
         except KeyError as e:
             raise SemanticsError(f"free variable {e.args[0]!r} missing from valuation")
 
-    def _count_at_least(self, body_mask: int, grade: int) -> int:
-        G = self.G
-        out = 0
-        for n in range(G.n):
-            if (G.adj_masks[n] & body_mask).bit_count() >= grade:
-                out |= 1 << n
-        return out
-
-    def _count_all_but(self, body_mask: int, grade: int) -> int:
-        G = self.G
-        out = 0
-        for n in range(G.n):
-            if (G.adj_masks[n] & ~body_mask).bit_count() < grade:
-                out |= 1 << n
-        return out
-
     # -- plain and adorned evaluation (one recursion handles both)
 
     def evaluate(self, f, V: dict) -> int:
@@ -147,9 +131,9 @@ class Evaluator:
         elif isinstance(f, Or):
             r = self.evaluate(f.lhs, V) | self.evaluate(f.rhs, V)
         elif isinstance(f, AtLeast):
-            r = self._count_at_least(self.evaluate(f.body, V), f.grade)
+            r = G.at_least(self.evaluate(f.body, V), f.grade)
         elif isinstance(f, AllBut):
-            r = self._count_all_but(self.evaluate(f.body, V), f.grade)
+            r = G.all_but(self.evaluate(f.body, V), f.grade)
         elif isinstance(f, (Mu, Nu)):
             # Kleene iteration; converges within |N| rounds by monotonicity
             S = 0 if isinstance(f, Mu) else G.full_mask
@@ -235,14 +219,6 @@ class Evaluator:
 
 def evaluate(phi: Formula, G: LabeledGraph, V: dict | None = None) -> int:
     return Evaluator(G).evaluate(phi, V or {})
-
-
-def is_k_stable(phi: Formula, G: LabeledGraph, V: dict, n: int, k: int) -> bool:
-    return bool(Evaluator(G).stable_set(phi, V, k) >> n & 1)
-
-
-def is_jk_stable(alpha: Formula, j: int, k: int, G: LabeledGraph, V: dict, n: int) -> bool:
-    return bool(Evaluator(G).jk_stable_set(alpha, j, k, V) >> n & 1)
 
 
 def model_check_stable(phi: Formula, G: LabeledGraph) -> tuple[int, int]:

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the library's own algorithms: fixpoints are found
-by enumerating candidate node sets, not by Kleene iteration, so agreement is
-evidence rather than tautology.  Usable on small graphs only.
+by enumerating candidate node sets, not by Kleene iteration, graded
+bisimilarity by searching bijections, and the counting step is restated
+clause by clause, so agreement is evidence rather than tautology.  Usable
+on small graphs only.
 """
 
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, permutations
 
+from mugnn.counting import ExtendedConfiguration, initial_configuration
 from mugnn.formula import (
     AllBut,
     And,
@@ -18,6 +22,7 @@ from mugnn.formula import (
     Prop,
     Var,
 )
+from mugnn.graph import GraphError
 
 
 def all_subsets(n):
@@ -72,3 +77,178 @@ def to_mask(nodes):
     for i in nodes:
         out |= 1 << i
     return out
+
+
+# ---------------------------------------------------------------------------
+# The counting step clause by clause: one isinstance dispatch per subformula
+# and per-node graded counts, the reference for `mugnn.counting`'s compiled
+# step.
+
+
+def reference_trans1(cfg):
+    idx, G = cfg.idx, cfg.G
+    full = G.full_mask
+    k = cfg.k
+
+    R2 = []
+    for p, f in enumerate(idx.formulas):
+        if isinstance(f, Prop):
+            r = G.prop_mask(f.name)
+        elif isinstance(f, NegProp):
+            r = full & ~G.prop_mask(f.name)
+        elif isinstance(f, Var):
+            r = cfg.V[idx.var_index[f.name]]
+        elif isinstance(f, And):
+            r = cfg.R[idx.pos[f.lhs]] & cfg.R[idx.pos[f.rhs]]
+        elif isinstance(f, Or):
+            r = cfg.R[idx.pos[f.lhs]] | cfg.R[idx.pos[f.rhs]]
+        elif isinstance(f, AtLeast):
+            body = cfg.R[idx.pos[f.body]]
+            r = 0
+            for n in range(G.n):
+                if sum(body >> m & 1 for m in G.adj[n]) >= f.grade:
+                    r |= 1 << n
+        elif isinstance(f, AllBut):
+            body = cfg.R[idx.pos[f.body]]
+            r = 0
+            for n in range(G.n):
+                if sum(1 - (body >> m & 1) for m in G.adj[n]) < f.grade:
+                    r |= 1 << n
+        elif isinstance(f, (Mu, Nu)):
+            r = cfg.R[idx.pos[f.body]]
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        R2.append(r)
+
+    F2 = 0
+    for p in range(idx.n):
+        if all(cfg.F >> c & 1 for c in idx.sub[p]):
+            if idx.is_fp[p] and cfg.C[idx.fp_index[p]] < k - 1:
+                continue
+            F2 |= 1 << p
+
+    S2 = []
+    for p, f in enumerate(idx.formulas):
+        if idx.is_fp[p]:
+            fi = idx.fp_index[p]
+            b = idx.body_pos[fi]
+            s = cfg.S[b] & cfg.T[fi] & ~(cfg.V[fi] ^ R2[b]) & full
+        else:
+            s = full
+            for c in idx.sub[p]:
+                s &= cfg.S[c]
+        S2.append(s)
+
+    return replace(cfg, R=tuple(R2), F=F2, S=tuple(S2))
+
+
+def reference_ticks_reset_dep(cfg):
+    idx = cfg.idx
+    k = cfg.k
+    ticks = set()
+    for fi, p in enumerate(idx.fp_positions):
+        if not all(cfg.F >> c & 1 for c in idx.sub[p]):
+            continue
+        if cfg.C[fi] >= k - 1:
+            continue
+        if all(cfg.C[bj] == k - 1 for bj in idx.tfp[p]):
+            ticks.add(fi)
+
+    reset = set(ticks)
+    changed = True
+    while changed:
+        changed = False
+        for vi, p in enumerate(idx.fp_positions):
+            if vi in reset:
+                continue
+            if idx.free[p] & {idx.var_names[r] for r in reset}:
+                reset.add(vi)
+                changed = True
+    dep = reset - ticks
+    return frozenset(ticks), frozenset(reset), frozenset(dep)
+
+
+def reference_trans2(cfg, keep_dep_counters=False):
+    """The type-2 step; with keep_dep_counters, the extended system's
+    partial step, which also returns the variables left to count down."""
+    idx, G = cfg.idx, cfg.G
+    ticks, reset, dep = reference_ticks_reset_dep(cfg)
+    if not ticks:
+        return cfg, frozenset()
+    C2 = list(cfg.C)
+    V2 = list(cfg.V)
+    T2 = list(cfg.T)
+    for fi in ticks:
+        b = idx.body_pos[fi]
+        C2[fi] = cfg.C[fi] + 1
+        V2[fi] = cfg.R[b]
+        T2[fi] = cfg.T[fi] & cfg.S[b]
+    for fi in dep:
+        if not keep_dep_counters:
+            C2[fi] = 0
+        V2[fi] = 0 if idx.is_mu[idx.fp_positions[fi]] else G.full_mask
+        T2[fi] = G.full_mask
+    reset_names = {idx.var_names[r] for r in reset}
+    F2 = cfg.F
+    for p in range(idx.n):
+        if F2 >> p & 1 and idx.free[p] & reset_names:
+            F2 &= ~(1 << p)
+    cfg2 = replace(cfg, C=tuple(C2), V=tuple(V2), F=F2, T=tuple(T2))
+    return cfg2, dep
+
+
+def reference_trans3(cfg):
+    if not cfg.complete:
+        return cfg
+    return initial_configuration(cfg.idx, cfg.G, cfg.k + 1)
+
+
+def reference_etrans_step(x):
+    cfg, D = x.config, x.D
+    if not D and cfg.complete:
+        fresh = initial_configuration(cfg.idx, cfg.G, cfg.k + 1)
+        cfg, D = replace(fresh, C=cfg.C), frozenset(range(cfg.idx.n_fp))
+    if not D:
+        cfg = reference_trans1(cfg)
+    if not D:
+        cfg, D = reference_trans2(cfg, keep_dep_counters=True)
+    if D:
+        C2 = list(cfg.C)
+        D2 = set()
+        for vi in D:
+            c = cfg.C[vi]
+            if c > 0:
+                C2[vi] = c - 1
+            if c - 1 > 0:
+                D2.add(vi)
+        cfg = replace(cfg, C=tuple(C2))
+        D = frozenset(D2)
+    return ExtendedConfiguration(cfg, D)
+
+
+def brute_force_g_bisimilar(G, n, H, m):
+    """Greatest-fixpoint search for a graded bisimulation; small graphs only."""
+    if G.props != H.props:
+        raise GraphError("g-bisimilarity needs a common proposition universe")
+    Z = {
+        (a, c)
+        for a in range(G.n)
+        for c in range(H.n)
+        if G.labels[a] == H.labels[c]
+    }
+
+    def ok(a, c, rel):
+        ga, hc = G.adj[a], H.adj[c]
+        if len(ga) != len(hc):
+            return False
+        # a Z-respecting bijection between out-neighbor lists
+        return any(
+            all((u, v) in rel for u, v in zip(ga, perm))
+            for perm in permutations(hc)
+        )
+
+    while True:
+        keep = {(a, c) for a, c in Z if ok(a, c, Z)}
+        if keep == Z:
+            return (n, m) in Z
+        Z = keep

@@ -4,8 +4,11 @@ import pytest
 from click.testing import CliRunner
 
 from mugnn.cli import main
+from mugnn.formula import MAX_DEPTH
 from mugnn.gnn import GnnError, compile_formula, gnn_to_json
 from mugnn.graph import graph_to_json
+
+from test_formula import TOO_DEEP
 
 
 @pytest.fixture
@@ -48,6 +51,31 @@ def test_check_parse_error_exit_2(runner, g1_path):
     res = invoke(runner, "check", "mu X.(p |", g1_path)
     assert res.exit_code == 2
     assert "error:" in res.output
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP))
+def test_check_too_deep_exit_2(runner, g1_path, name):
+    res = invoke(runner, "check", TOO_DEEP[name], g1_path)
+    assert res.exit_code == 2
+    assert "error:" in res.output and "nested deeper than" in res.output
+
+
+AT_DEPTH_LIMIT = {
+    "modalities": "<>" * (MAX_DEPTH - 1) + "p",
+    "parentheses": "(" * 2 * MAX_DEPTH + "p" + ")" * 2 * MAX_DEPTH,
+    "flat-or": " | ".join(["q"] * MAX_DEPTH),
+    "binder": "mu X.(p | " + "<>" * (MAX_DEPTH - 3) + "X)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_DEPTH_LIMIT))
+def test_check_at_depth_limit_runs_on_every_engine(runner, g1_path, name):
+    outputs = set()
+    for engine in ("oracle", "stable", "counting", "extended", "gnn"):
+        res = invoke(runner, "check", AT_DEPTH_LIMIT[name], g1_path, "--engine", engine)
+        assert res.exit_code == 0, (engine, res.output)
+        outputs.add(json.dumps(json.loads(res.output)["output"]))
+    assert len(outputs) == 1
 
 
 def test_check_graph_error_exit_3(runner, tmp_path):

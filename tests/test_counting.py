@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,14 @@ from mugnn.counting import (
 from mugnn.formula import index, parse, to_text, well_name
 from mugnn.gen import random_formula, random_graph
 from mugnn.semantics import Evaluator, adorn, evaluate
+
+from oracles import (
+    reference_etrans_step,
+    reference_ticks_reset_dep,
+    reference_trans1,
+    reference_trans2,
+    reference_trans3,
+)
 
 
 def idx_of(text):
@@ -281,3 +290,80 @@ def test_coherence_along_runs():
             assert diag is None, f"{kind}: {diag}"
 
         run_counting(phi, G, on_config=on_config)
+
+
+def test_step_matches_reference():
+    # every configuration of both runs is the clause-by-clause reference step
+    # applied to the one before it
+    rng = random.Random(37)
+    plain_steps = {
+        "t3": reference_trans3,
+        "t1": reference_trans1,
+        "t2": lambda cfg: reference_trans2(cfg)[0],
+    }
+    seen = Counter()
+    for _ in range(100):
+        phi = random_formula(rng, max_size=16, max_grade=3)
+        G = random_graph(rng, max_nodes=6, edge_prob=rng.choice((0.2, 0.4)))
+        prev = []
+
+        def on_plain(kind, cfg):
+            if prev:
+                assert cfg == plain_steps[kind](prev[-1]), (to_text(phi), kind)
+            assert ticks_reset_dep(cfg) == reference_ticks_reset_dep(cfg)
+            prev.append(cfg)
+            seen["plain"] += 1
+
+        def on_extended(kind, x):
+            if prev:
+                assert x == reference_etrans_step(prev[-1]), to_text(phi)
+            prev.append(x)
+            seen["extended"] += 1
+
+        run_counting(phi, G, on_config=on_plain)
+        prev.clear()
+        run_extended(phi, G, on_config=on_extended)
+        idx = index(phi)
+        seen["nested"] += idx.q >= 2
+        seen["mu and nu"] += 0 < sum(idx.is_mu) < idx.n_fp
+        seen["grade 3"] += "3" in to_text(phi)
+        seen["sink"] += () in G.adj
+        seen["self-loop"] += any(n in out for n, out in enumerate(G.adj))
+    assert seen["plain"] > 3000 and seen["extended"] > 1000
+    for kind in ("nested", "mu and nu", "grade 3", "sink", "self-loop"):
+        assert seen[kind] >= 20, (kind, seen)
+
+
+def test_step_matches_reference_on_any_configuration():
+    # configurations no run reaches, so a check that coherence makes
+    # redundant on reachable ones (the tick's test of inner counters, the
+    # reset closure beyond one level) still has to agree with the reference
+    rng = random.Random(38)
+    chains = [  # each binder mentions only the one directly outside it
+        idx_of("mu X.(p | <>nu Y.(X & [2]mu Z.(Y | <>Z)))"),
+        idx_of("nu X.(q & []mu Y.(X | <>nu Z.(Y & [](Z | p))))"),
+    ]
+    for trial in range(300):
+        if trial % 3:
+            idx = index(random_formula(rng, max_size=16, max_grade=3, max_nesting=3))
+        else:
+            idx = rng.choice(chains)
+        G = random_graph(rng, max_nodes=5, edge_prob=0.3)
+        k = rng.randint(1, 4)
+        masks = lambda n: tuple(rng.randrange(G.full_mask + 1) for _ in range(n))
+        cfg = Configuration(
+            idx, G, k,
+            C=tuple(rng.randrange(k) for _ in range(idx.n_fp)),
+            V=masks(idx.n_fp),
+            R=masks(idx.n),
+            F=rng.randrange(1 << idx.n),
+            S=masks(idx.n),
+            T=masks(idx.n_fp),
+        )
+        assert trans1(cfg) == reference_trans1(cfg)
+        assert ticks_reset_dep(cfg) == reference_ticks_reset_dep(cfg)
+        assert trans2(cfg) == reference_trans2(cfg)[0]
+        assert partial_trans2(cfg) == ExtendedConfiguration(*reference_trans2(cfg, True))
+        D = frozenset(fi for fi in range(idx.n_fp) if rng.random() < 0.3)
+        x = ExtendedConfiguration(cfg, D)
+        assert etrans_step(x) == reference_etrans_step(x)

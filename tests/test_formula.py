@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import mugnn.formula
 from mugnn.formula import (
+    MAX_DEPTH,
     AllBut,
     And,
     AtLeast,
@@ -169,3 +171,57 @@ def test_index_binder_bijection():
 def test_free_vars():
     assert free_vars(parse("mu X.(X | Y)")) == {"Y"}
     assert free_vars(parse("mu X.(p | <>X)")) == set()
+
+
+TOO_DEEP = {
+    "parentheses": "(" * 400 + "p" + ")" * 400,
+    "modalities": "<>" * 1000 + "p",
+    "binders": "".join(f"mu X{i}.(p | <>X{i} | " for i in range(150)) + "q" + ")" * 150,
+    "flat-or": " | ".join(["p"] * 2000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP))
+def test_parse_too_deep_rejected(name):
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse(TOO_DEEP[name])
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [
+        ("((<>p))", 2),
+        ("<>[2]~p", 3),
+        ("p | q | r", 3),
+        ("p | q & r", 3),
+        ("(p | q) & r", 3),
+        ("mu X.(p | <>X)", 4),
+        ("nu X.mu Y.(X & <>Y)", 5),
+    ],
+)
+def test_parse_depth_counts_levels(monkeypatch, text, depth):
+    monkeypatch.setattr(mugnn.formula, "MAX_DEPTH", depth)
+    parse(text)
+    monkeypatch.setattr(mugnn.formula, "MAX_DEPTH", depth - 1)
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_parse_parentheses_budget():
+    parse("(" * 2 * MAX_DEPTH + "p" + ")" * 2 * MAX_DEPTH)
+    with pytest.raises(ParseError):
+        parse("(" * (2 * MAX_DEPTH + 1) + "p" + ")" * (2 * MAX_DEPTH + 1))
+
+
+def test_print_parse_roundtrip_at_depth_limit():
+    # the printer adds parentheses, never levels, so a formula at the limit
+    # still parses back from its text
+    binders = (MAX_DEPTH - 4) // 2
+    for text in (
+        "<>" + "".join(f"mu X{i}.(p | <>X{i} | " for i in range(binders)) + "q" + ")" * binders,
+        "".join(f"nu X{i}.<>" for i in range(MAX_DEPTH // 2 - 1)) + "(p | q)",
+    ):
+        phi = parse(text)
+        assert parse(to_text(phi)) == phi
+        with pytest.raises(ParseError):
+            parse("<>" + text)

@@ -331,6 +331,29 @@ def test_program_built_once_per_model(monkeypatch, g1, phi_reach):
     assert len(builds) == 3 and builds[-1] is comb
 
 
+def test_edge_index_built_once_per_graph(monkeypatch, g1, phi_reach):
+    import mugnn.graph as graph_mod
+
+    builds = []
+
+    class Counted(graph_mod.EdgeIndex):
+        def __init__(self, adj):
+            builds.append(adj)
+            super().__init__(adj)
+
+    monkeypatch.setattr(graph_mod, "EdgeIndex", Counted)
+    gnn = compile_formula(phi_reach, props=g1.props)
+    _, _, snaps = run_gnn(gnn, g1, want_trace=True)
+    for before, after in zip(snaps, snaps[1:5]):
+        assert apply_layer(gnn, g1, before) == after
+    assert builds == [g1.adj]
+    # An equal graph built anew gets an index of its own.
+    copy = make_graph(g1.props, g1.node_ids, g1.labels, [(0, 1), (1, 2)])
+    assert copy == g1
+    assert run_gnn(gnn, copy)[:2] == run_gnn(gnn, g1)[:2]
+    assert len(builds) == 2
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mugnn.gen import random_graph
 from mugnn.graph import (
     GraphError,
     disjoint_union,
@@ -12,7 +13,6 @@ from mugnn.graph import (
     load_graph,
     make_graph,
     mask_of,
-    nodes_of,
     save_graph,
 )
 
@@ -93,16 +93,10 @@ def test_label_outside_universe_rejected():
         make_graph(["p"], ["0"], [["z"]], [])
 
 
-def test_out_neighbors(g1):
-    assert g1.out_neighbors(0) == [1]
-    assert g1.out_neighbors(2) == []
-    with pytest.raises(GraphError):
-        g1.out_neighbors(3)
-
-
 def test_self_loop():
     G = make_graph(["p"], ["0"], [[]], [(0, 0)])
-    assert G.out_neighbors(0) == [0]
+    assert G.adj == ((0,),)
+    assert G.at_least(0b1, 1) == 0b1 and G.all_but(0b0, 1) == 0
 
 
 def test_save_load_roundtrip(tmp_path, g1):
@@ -141,7 +135,8 @@ def test_nodes_mask_roundtrip():
     rng = random.Random(0)
     for _ in range(100):
         nodes = {rng.randrange(64) for _ in range(rng.randrange(10))}
-        assert set(nodes_of(mask_of(nodes))) == nodes
+        mask = mask_of(nodes)
+        assert {i for i in range(mask.bit_length()) if mask >> i & 1} == nodes
 
 
 @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
@@ -151,3 +146,20 @@ def test_mask_boolean_algebra(a, b, c):
     assert a | (b & c) == (a | b) & (a | c)
     assert full & ~(a | b) == (full & ~a) & (full & ~b)
     assert (a ^ b) == (a | b) & ~(a & b) & full
+
+
+def test_graded_counting_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(40):
+        G = random_graph(rng, max_nodes=7, edge_prob=rng.choice((0.2, 0.5)))
+        top = max(map(len, G.adj)) + 2  # a grade above every out-degree
+        masks = [0, G.full_mask] + [rng.randrange(G.full_mask + 1) for _ in range(6)]
+        for mask in masks:
+            for grade in range(1, top + 1):
+                inside = [sum(mask >> m & 1 for m in out) for out in G.adj]
+                expect_at_least = mask_of(n for n in range(G.n) if inside[n] >= grade)
+                outside = [len(out) - c for out, c in zip(G.adj, inside)]
+                expect_all_but = mask_of(n for n in range(G.n) if outside[n] < grade)
+                assert G.at_least(mask, grade) == expect_at_least
+                assert G.all_but(mask, grade) == expect_all_but
+    assert G.at_least(0, 1) == 0 and G.all_but(G.full_mask, 1) == G.full_mask

@@ -12,8 +12,6 @@ from mugnn.semantics import (
     SemanticsError,
     adorn,
     evaluate,
-    is_jk_stable,
-    is_k_stable,
     model_check_stable,
     uniform,
 )
@@ -90,14 +88,14 @@ def test_atoms_always_stable(g1):
     for text in ("p", "~p"):
         for k in (1, 2, 5):
             for n in range(3):
-                assert is_k_stable(parse(text), g1, {}, n, k)
+                assert Evaluator(g1).stable_set(parse(text), {}, k) >> n & 1
     for k in (1, 2, 5):
-        assert is_k_stable(parse("X"), g1, {"X": 0b010}, 1, k)
+        assert Evaluator(g1).stable_set(parse("X"), {"X": 0b010}, k) >> 1 & 1
 
 
 def test_reach_stability_fixture(g1, phi_reach):
-    assert not is_k_stable(phi_reach, g1, {}, 0, 3)
-    assert is_k_stable(phi_reach, g1, {}, 0, 4)
+    assert not Evaluator(g1).stable_set(phi_reach, {}, 3) >> 0 & 1
+    assert Evaluator(g1).stable_set(phi_reach, {}, 4) >> 0 & 1
 
 
 def test_stability_at_n_plus_one():
@@ -107,17 +105,17 @@ def test_stability_at_n_plus_one():
         G = random_graph(rng, max_nodes=5)
         k = G.n + 1
         for n in range(G.n):
-            assert is_k_stable(phi, G, {}, n, k)
+            assert Evaluator(G).stable_set(phi, {}, k) >> n & 1
 
 
 def test_k_zero_rejected(g1, phi_reach):
     with pytest.raises(SemanticsError):
-        is_k_stable(phi_reach, g1, {}, 0, 0)
+        Evaluator(g1).stable_set(phi_reach, {}, 0)
 
 
 def test_jk_vacuous(g1, phi_reach):
     for n in range(3):
-        assert is_jk_stable(phi_reach, 0, 1, g1, {}, n)
+        assert Evaluator(g1).jk_stable_set(phi_reach, 0, 1, {}) >> n & 1
 
 
 def test_jk_follows_from_k(g1):
@@ -143,12 +141,12 @@ def test_jk_brute_force_cross_check(g1, phi_reach):
         expect &= ev.stable_set(phi_reach.body, {"X": chain[i]}, k)
     got = ev.jk_stable_set(phi_reach, j, k, {})
     assert got == expect
-    assert is_jk_stable(phi_reach, j, k, g1, {}, 1) == bool(got >> 1 & 1)
+    assert Evaluator(g1).jk_stable_set(phi_reach, j, k, {}) >> 1 & 1 == got >> 1 & 1
 
 
 def test_jk_requires_fixpoint(g1):
     with pytest.raises(SemanticsError):
-        is_jk_stable(parse("p"), 1, 1, g1, {}, 0)
+        Evaluator(g1).jk_stable_set(parse("p"), 1, 1, {})
 
 
 def test_model_check_stable_fixture(g1, phi_reach):
