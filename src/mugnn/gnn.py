@@ -552,47 +552,61 @@ class LevelProgram:
         with np.errstate(divide="ignore", invalid="ignore"):  # alpha = 0: no limit
             self.max_input = float(np.fmin.reduce((2.0**52 - AB[:, 1]) / AB[:, 0]))
 
-    def evaluate(self, V: np.ndarray, out: np.ndarray) -> None:
-        """Fill the ReLU rows of V from its input rows, and `out` with the
-        outputs.  Exact if no input exceeds `max_input` in magnitude."""
-        for lo, hi, M, used in self.hidden:
-            Z = np.matmul(M, V.take(used, axis=0), out=V[lo:hi])
-            np.maximum(Z, 0, out=Z)
-        M, used = self.last
-        np.matmul(M, V.take(used, axis=0), out=out)
+    def bind(self, V: np.ndarray, out: np.ndarray):
+        """A function that fills the ReLU rows of V from its input rows, and
+        `out` with the outputs, exact if no input exceeds `max_input` in
+        magnitude.  Each level's matrix, the atoms it reads and the rows it
+        writes are bound here once, so a call makes only the levels' numpy
+        calls; the ReLUs share one zero operand."""
+        hidden = [(M, used, V[lo:hi]) for lo, hi, M, used in self.hidden]
+        last, used_last = self.last
+        take, dot, relu, zero = V.take, np.dot, np.maximum, np.zeros(())
+
+        def evaluate():
+            for M, used, Z in hidden:
+                dot(M, take(used, axis=0), out=Z)
+                relu(Z, zero, out=Z)
+            dot(last, take(used_last, axis=0), out=out)
+
+        return evaluate
+
+
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 
 class _Rounds:
     """Rounds of one model on one graph from the given per-node vectors.  The
     state X, the first `dim` rows of the atom buffer, is checked to stay below
-    `limit`, so that a neighbour sum stays within the program's `max_input`."""
+    `limit`, so that a neighbour sum stays within the program's `max_input`.
+    Everything a round reads or writes is bound here once per run."""
 
     def __init__(self, gnn: RecurrentGnn, G: LabeledGraph, vectors):
-        dim = gnn.dim
-        self.prog = gnn.program
-        self.ys = dim + np.flatnonzero(self.prog.input_read[dim:])  # the sums the network reads
-        self.xs = self.ys - dim
-        self.edges = G.edge_index
-        self.limit = min(MAX_WEIGHT, self.prog.max_input / max(1, self.edges.max_degree))
-        self.V = np.zeros((self.prog.n_atoms, G.n))
+        dim, prog, E = gnn.dim, gnn.program, G.edge_index
+        ys = dim + np.flatnonzero(prog.input_read[dim:])  # the sums the network reads
+        self.limit = min(MAX_WEIGHT, prog.max_input / max(1, E.max_degree))
+        self.V = np.zeros((prog.n_atoms, G.n))
         self.V[-1] = 1  # the ones row
         self.X = self.V[:dim]
         self.X[...] = np.array(vectors, dtype=np.float64).reshape(G.n, dim).T
+        self.flat = self.X.reshape(-1)  # a view: V is C-contiguous
+        # Flat indices into V of the states each neighbour sum adds up and of
+        # the sums of the nodes with an out-edge; sinks keep their zero sums.
+        self.sums = len(E.dst) > 0 and len(ys) > 0
+        self.gather = (ys[:, None] - dim) * G.n + E.dst
+        self.scatter, self.starts = ys[:, None] * G.n + E.sources, E.starts
+        self.evaluate = prog.bind(self.V, self.X)
         self.check()
 
     def check(self) -> None:
-        if self.X.max(initial=0) >= self.limit or self.X.min(initial=0) <= -self.limit:
+        flat, limit = self.flat, self.limit
+        if _MAX(flat, initial=0.0) >= limit or _MIN(flat, initial=0.0) <= -limit:
             raise GnnError("activation magnitude bound exceeded")
 
     def step(self) -> None:
-        V, E = self.V, self.edges
-        if len(E.dst) and len(self.ys):
-            S = np.add.reduceat(V[self.xs[:, None], E.dst], E.starts, axis=1)
-            if len(E.sources) == V.shape[1]:
-                V[self.ys] = S
-            else:  # sinks keep their zero neighbour sums
-                V[self.ys[:, None], E.sources] = S
-        self.prog.evaluate(V, self.X)
+        V = self.V
+        if self.sums:
+            V.put(self.scatter, np.add.reduceat(V.take(self.gather), self.starts, axis=1))
+        self.evaluate()
         self.check()
 
     def vectors(self) -> tuple:
@@ -620,8 +634,9 @@ def run_gnn(
     limit = max_steps if max_steps is not None else safeguard(gnn.idx, G) + 1
     rounds = _Rounds(gnn, G, [gnn.init_vector(labels) for labels in G.labels])
     trace = [rounds.vectors()] if want_trace else None
+    halt = rounds.X[gnn.hlt_index]
     iters = 0
-    while not (rounds.X[gnn.hlt_index] > 0).all():
+    while _MIN(halt, initial=1.0) <= 0:  # some node has not halted
         if iters >= limit:
             raise SafeguardExceeded(f"GNN run exceeded {limit} iterations")
         rounds.step()
@@ -745,4 +760,8 @@ def save_gnn(gnn: RecurrentGnn, path) -> None:
 
 def load_gnn(path) -> RecurrentGnn:
     with open(path) as fh:
-        return gnn_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise GnnError("model JSON is nested too deeply") from None
+    return gnn_from_json(data)

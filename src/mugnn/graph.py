@@ -187,7 +187,7 @@ def load_graph(path) -> LabeledGraph:
             data = json.load(fh)
     except OSError as e:
         raise GraphError(f"cannot read graph file: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
         raise GraphError(f"malformed graph JSON: {e}")
     return graph_from_json(data)
 

@@ -103,6 +103,17 @@ def test_check_malformed_graph_exit_3(runner, tmp_path, data):
     assert "error:" in res.output
 
 
+def test_deeply_nested_json_is_an_error_not_a_traceback(runner, tmp_path, g1_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    res = invoke(runner, "check", "p", str(deep))
+    assert res.exit_code == 3
+    assert "error: malformed graph JSON" in res.output
+    res = invoke(runner, "run", str(deep), g1_path)
+    assert res.exit_code == 2
+    assert "cannot load model" in res.output
+
+
 def test_check_missing_graph_file_exit_3(runner, tmp_path):
     res = invoke(runner, "check", "p", str(tmp_path / "nope.json"))
     assert res.exit_code == 3

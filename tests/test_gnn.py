@@ -157,16 +157,43 @@ def test_trace_decodes_to_extended_run(g1, phi_reach):
         assert decode(snap, gnn.layout, gnn.idx, g1) == x
 
 
-def test_numpy_path_matches_exact_eval(g1, phi_reach):
-    gnn = compile_formula(phi_reach, props=g1.props)
-    _, _, snaps = run_gnn(gnn, g1, want_trace=True)
-    for snap, nxt in list(zip(snaps, snaps[1:]))[:6]:
-        sums = [
-            tuple(sum(snap[m][i] for m in g1.adj[n]) for i in range(gnn.dim))
-            for n in range(g1.n)
-        ]
-        for n in range(g1.n):
-            assert tuple(rfnn_eval(gnn.comb, snap[n] + sums[n])) == nxt[n]
+# Nodes 1, 4 and 5 are sinks; 0 and 3 have self-loops.
+SINKS_AND_LOOPS = make_graph(
+    ["p", "q"],
+    ["0", "1", "2", "3", "4", "5"],
+    [[], ["p"], ["q"], [], ["p", "q"], []],
+    [(0, 0), (0, 1), (0, 2), (2, 3), (3, 3), (3, 4), (2, 5)],
+)
+EDGELESS = make_graph(["p", "q"], ["0", "1", "2"], [["p"], [], ["q"]], [])
+# Every node has an out-edge, so no neighbour sum stays zero.
+ALL_SOURCES = make_graph(
+    ["p", "q"],
+    ["0", "1", "2", "3"],
+    [["q"], ["p"], [], ["p", "q"]],
+    [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3), (1, 0)],
+)
+SENTENCES = [
+    "mu X.(p | <>X)",
+    "nu X.([2]X & mu Y.(q | <>Y))",
+    "nu X.(mu Y.(p & <>X | <>Y))",
+    "mu X.(q | [1]X)",
+]
+
+
+def test_numpy_path_matches_exact_eval():
+    # Every round of every run must equal exact integer evaluation of the
+    # combine network, all of its levels, on (x, neighbour sum).
+    rng = random.Random(56)
+    for G in (SINKS_AND_LOOPS, EDGELESS, ALL_SOURCES):
+        randoms = [random_formula(rng, props=G.props, max_size=12) for _ in range(6)]
+        for phi in SENTENCES + randoms:
+            gnn = compile_formula(phi, props=G.props)
+            _, iters, snaps = run_gnn(gnn, G, want_trace=True)
+            assert len(snaps) == iters + 1
+            for snap, nxt in zip(snaps, snaps[1:]):
+                for n in range(G.n):
+                    sums = tuple(sum(snap[m][i] for m in G.adj[n]) for i in range(gnn.dim))
+                    assert tuple(rfnn_eval(gnn.comb, snap[n] + sums)) == nxt[n]
 
 
 @st.composite
@@ -204,7 +231,7 @@ def eval_levels(net, samples):
     V[: net.input_width] = np.array(samples, dtype=np.float64).T
     V[-1] = 1  # the ones row
     out = np.empty((prog.out_width, len(samples)))
-    prog.evaluate(V, out)
+    prog.bind(V, out)()
     return out.T.tolist()
 
 
@@ -354,23 +381,9 @@ def test_edge_index_built_once_per_graph(monkeypatch, g1, phi_reach):
     assert len(builds) == 2
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "mu X.(p | <>X)",
-        "nu X.([2]X & mu Y.(q | <>Y))",
-        "nu X.(mu Y.(p & <>X | <>Y))",
-        "mu X.(q | [1]X)",
-    ],
-)
+@pytest.mark.parametrize("text", SENTENCES)
 def test_trace_with_sinks_and_self_loops(text):
-    # nodes 1, 4 and 5 are sinks; 0 and 3 have self-loops
-    G = make_graph(
-        ["p", "q"],
-        ["0", "1", "2", "3", "4", "5"],
-        [[], ["p"], ["q"], [], ["p", "q"], []],
-        [(0, 0), (0, 1), (0, 2), (2, 3), (3, 3), (3, 4), (2, 5)],
-    )
+    G = SINKS_AND_LOOPS
     phi = well_name(parse(text))
     gnn = compile_formula(phi, props=G.props)
     out, iters, snaps = run_gnn(gnn, G, want_trace=True)
