@@ -10,7 +10,7 @@ import time
 import click
 
 from .counting import SafeguardExceeded, run_counting, run_extended
-from .formula import FormulaError, parse, to_text, well_name
+from .formula import FormulaError, Prop, parse, to_text, well_name
 from .gen import random_formula, random_graph
 from .gnn import (
     GnnError,
@@ -27,6 +27,13 @@ from .semantics import evaluate, model_check_stable
 EXIT_PARSE = 2
 EXIT_GRAPH = 3
 EXIT_SAFEGUARD = 4
+# the exit code of each error a command's input can raise, first match wins
+EXIT_CODES = {
+    SafeguardExceeded: EXIT_SAFEGUARD,
+    GraphError: EXIT_GRAPH,
+    FormulaError: EXIT_PARSE,
+    GnnError: EXIT_PARSE,
+}
 
 ENGINES = ("oracle", "stable", "counting", "extended", "gnn")
 
@@ -37,15 +44,20 @@ def _fail(code: int, message: str):
 
 
 def _load(formula_text, graph_path):
-    try:
-        phi = well_name(parse(formula_text))
-    except FormulaError as e:
-        _fail(EXIT_PARSE, str(e))
-    try:
-        G = load_graph(graph_path)
-    except GraphError as e:
-        _fail(EXIT_GRAPH, str(e))
-    return phi, G
+    return well_name(parse(formula_text)), load_graph(graph_path)
+
+
+def _prop_names(ctx, param, value):
+    """Comma-separated names, each one that `parse` reads as a proposition."""
+    names = value.split(",")
+    for name in names:
+        try:
+            ok = parse(name) == Prop(name)
+        except FormulaError:
+            ok = False
+        if not ok:
+            raise click.BadParameter(f"{name!r} is not a lowercase proposition name")
+    return names
 
 
 def _run_engine(phi, G, engine, max_steps=None):
@@ -84,7 +96,18 @@ def _emit(obj, pretty):
     click.echo(json.dumps(obj, indent=2 if pretty else None, sort_keys=False))
 
 
-@click.group()
+class _Main(click.Group):
+    """Ends a command that raises an error of `EXIT_CODES` with an `error:`
+    line and that error's exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as e:
+            _fail(next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind)), str(e))
+
+
+@click.group(cls=_Main)
 def main():
     """Graded modal mu-calculus model checking and GNN compilation."""
 
@@ -99,12 +122,7 @@ def check(formula, graph, engine, max_steps, pretty):
     """Evaluate FORMULA on GRAPH with the chosen engine."""
     phi, G = _load(formula, graph)
     t0 = time.perf_counter()
-    try:
-        mask, k_used, iters = _run_engine(phi, G, engine, max_steps)
-    except SafeguardExceeded as e:
-        _fail(EXIT_SAFEGUARD, str(e))
-    except (FormulaError, GnnError) as e:
-        _fail(EXIT_PARSE, str(e))
+    mask, k_used, iters = _run_engine(phi, G, engine, max_steps)
     _emit(_report(phi, G, graph, engine, mask, k_used, iters, time.perf_counter() - t0), pretty)
 
 
@@ -114,13 +132,12 @@ def check(formula, graph, engine, max_steps, pretty):
 @click.option("--props", default=None, help="comma-separated proposition universe")
 def compile_cmd(formula, out, props):
     """Compile FORMULA to a GNN model file."""
+    universe = props.split(",") if props else None
+    gnn = compile_formula(well_name(parse(formula)), props=universe)
     try:
-        phi = well_name(parse(formula))
-        universe = props.split(",") if props else None
-        gnn = compile_formula(phi, props=universe)
-    except (FormulaError, GnnError) as e:
-        _fail(EXIT_PARSE, str(e))
-    save_gnn(gnn, out)
+        save_gnn(gnn, out)
+    except OSError as e:
+        _fail(EXIT_PARSE, f"cannot write model: {e}")
     click.echo(f"wrote model ({gnn.dim} features, {len(gnn.comb.layers)} layers) to {out}")
 
 
@@ -135,19 +152,11 @@ def run(model, graph, max_steps, pretty):
         gnn = load_gnn(model)
     except (OSError, KeyError, ValueError) as e:
         _fail(EXIT_PARSE, f"cannot load model: {e}")
-    try:
-        G = load_graph(graph)
-    except GraphError as e:
-        _fail(EXIT_GRAPH, str(e))
+    G = load_graph(graph)
     if tuple(G.props) != gnn.props:
         _fail(EXIT_GRAPH, f"graph universe {list(G.props)} is not the model's {list(gnn.props)}")
     t0 = time.perf_counter()
-    try:
-        out, iters, _ = run_gnn(gnn, G, max_steps=max_steps)
-    except SafeguardExceeded as e:
-        _fail(EXIT_SAFEGUARD, str(e))
-    except GnnError as e:
-        _fail(EXIT_PARSE, str(e))
+    out, iters, _ = run_gnn(gnn, G, max_steps=max_steps)
     phi = well_name(parse(gnn.formula_text))
     mask = mask_of(n for n, bit in enumerate(out) if bit)
     _emit(_report(phi, G, graph, "gnn", mask, None, iters, time.perf_counter() - t0), pretty)
@@ -175,13 +184,8 @@ def compare(formula, graph, trials, seed, max_steps):
     disagreements = 0
     for phi, G in instances:
         results = {}
-        try:
-            for engine in ENGINES:
-                results[engine], _, _ = _run_engine(phi, G, engine, max_steps)
-        except SafeguardExceeded as e:
-            _fail(EXIT_SAFEGUARD, str(e))
-        except (FormulaError, GnnError) as e:
-            _fail(EXIT_PARSE, str(e))
+        for engine in ENGINES:
+            results[engine], _, _ = _run_engine(phi, G, engine, max_steps)
         baseline = results["oracle"]
         bad = {e: m for e, m in results.items() if m != baseline}
         if bad:
@@ -226,37 +230,32 @@ def trace(formula, graph, engine, max_steps):
     """Stream one JSON line per step of the chosen engine."""
     phi, G = _load(formula, graph)
     lines = []
-    try:
-        if engine == "counting":
-            counter = {"i": 0}
+    if engine == "counting":
+        counter = {"i": 0}
 
-            def on_config(kind, cfg):
-                lines.append(_summary_counting(kind, cfg, counter["i"]))
-                counter["i"] += 1
+        def on_config(kind, cfg):
+            lines.append(_summary_counting(kind, cfg, counter["i"]))
+            counter["i"] += 1
 
-            run_counting(phi, G, on_config=on_config, max_steps=max_steps)
-        elif engine == "extended":
-            counter = {"i": 0}
+        run_counting(phi, G, on_config=on_config, max_steps=max_steps)
+    elif engine == "extended":
+        counter = {"i": 0}
 
-            def on_config(kind, x):
-                entry = _summary_counting(kind, x.config, counter["i"])
-                entry["D"] = sorted(x.config.idx.var_names[vi] for vi in x.D)
-                lines.append(entry)
-                counter["i"] += 1
+        def on_config(kind, x):
+            entry = _summary_counting(kind, x.config, counter["i"])
+            entry["D"] = sorted(x.config.idx.var_names[vi] for vi in x.D)
+            lines.append(entry)
+            counter["i"] += 1
 
-            run_extended(phi, G, on_config=on_config, max_steps=max_steps)
-        else:
-            gnn = compile_formula(phi, props=G.props)
-            _, iters, snaps = run_gnn(gnn, G, max_steps=max_steps, want_trace=True)
-            for i, vecs in enumerate(snaps):
-                x = decode(vecs, gnn.layout, gnn.idx, G)
-                entry = _summary_counting("gnn", x.config, i)
-                entry["D"] = sorted(gnn.idx.var_names[vi] for vi in x.D)
-                lines.append(entry)
-    except SafeguardExceeded as e:
-        _fail(EXIT_SAFEGUARD, str(e))
-    except (FormulaError, GnnError) as e:
-        _fail(EXIT_PARSE, str(e))
+        run_extended(phi, G, on_config=on_config, max_steps=max_steps)
+    else:
+        gnn = compile_formula(phi, props=G.props)
+        _, iters, snaps = run_gnn(gnn, G, max_steps=max_steps, want_trace=True)
+        for i, vecs in enumerate(snaps):
+            x = decode(vecs, gnn.layout, gnn.idx, G)
+            entry = _summary_counting("gnn", x.config, i)
+            entry["D"] = sorted(gnn.idx.var_names[vi] for vi in x.D)
+            lines.append(entry)
     for entry in lines:
         click.echo(json.dumps(entry))
 
@@ -265,14 +264,14 @@ def trace(formula, graph, engine, max_steps):
 @click.option("--seed", type=int, default=0)
 @click.option("--max-size", type=int, default=25)
 @click.option("--max-fixpoints", type=int, default=3)
-@click.option("--max-grade", type=int, default=3)
-@click.option("--props", default="p,q,r")
+@click.option("--max-grade", type=click.IntRange(min=1), default=3)
+@click.option("--props", default="p,q,r", callback=_prop_names)
 def gen_formula_cmd(seed, max_size, max_fixpoints, max_grade, props):
     """Print a random sentence."""
     rng = random.Random(seed)
     phi = random_formula(
         rng,
-        props=props.split(","),
+        props=props,
         max_size=max_size,
         max_fixpoints=max_fixpoints,
         max_grade=max_grade,
@@ -282,7 +281,7 @@ def gen_formula_cmd(seed, max_size, max_fixpoints, max_grade, props):
 
 @main.command(name="gen-graph")
 @click.option("--seed", type=int, default=0)
-@click.option("--max-nodes", type=int, default=10)
+@click.option("--max-nodes", type=click.IntRange(min=1), default=10)
 @click.option("--edge-prob", type=float, default=0.3)
 @click.option("--props", default="p,q,r")
 def gen_graph_cmd(seed, max_nodes, edge_prob, props):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .formula import Formula, FormulaError, SubformulaIndex, index, well_name
 from .graph import LabeledGraph
-from .semantics import Evaluator, adorn, uniform
+from .semantics import Evaluator
 
 
 class SafeguardExceeded(RuntimeError):
@@ -242,7 +242,7 @@ def check_coherent(cfg: Configuration, ev: Evaluator | None = None) -> str | Non
     for fi, p in enumerate(idx.fp_positions):
         if not 0 <= cfg.C[fi] <= k - 1:
             return f"counter C({idx.var_names[fi]})={cfg.C[fi]} outside [0,{k-1}]"
-        expect = ev.evaluate(adorn(idx.formulas[p], cfg.C[fi], k), V)
+        expect = ev.approx_chain(idx.formulas[p], cfg.C[fi], k, V)[-1]
         if cfg.V[fi] != expect:
             return (
                 f"soundness: V({idx.var_names[fi]})={cfg.V[fi]:b} but "
@@ -252,7 +252,7 @@ def check_coherent(cfg: Configuration, ev: Evaluator | None = None) -> str | Non
     for p, f in enumerate(idx.formulas):
         if not cfg.F >> p & 1:
             continue
-        expect = ev.evaluate(uniform(f, k), V)
+        expect = ev.evaluate(f, V, k)
         if cfg.R[p] != expect:
             return f"consistency: R at position {p} is {cfg.R[p]:b}, expected {expect:b}"
         if not all(cfg.F >> c & 1 for c in idx.sub[p]):

@@ -110,10 +110,11 @@ def free_vars(f: Formula) -> frozenset[str]:
         return frozenset((f.name,))
     if isinstance(f, (Mu, Nu)):
         return free_vars(f.body) - {f.var}
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= free_vars(c)
-    return out
+    if isinstance(f, (And, Or)):
+        return free_vars(f.lhs) | free_vars(f.rhs)
+    if isinstance(f, (AtLeast, AllBut)):
+        return free_vars(f.body)
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ residual set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, chain
 
@@ -28,18 +28,9 @@ from .counting import (
     safeguard,
 )
 from .formula import (
-    AllBut,
-    And,
-    AtLeast,
     Formula,
     FormulaError,
-    Mu,
-    NegProp,
-    Nu,
-    Or,
-    Prop,
     SubformulaIndex,
-    Var,
     index,
     parse,
     to_text,
@@ -86,62 +77,22 @@ class FeatureLayout:
 
 def make_layout(idx: SubformulaIndex, props) -> FeatureLayout:
     props = tuple(sorted(props))
-    c = 0
-
-    def take(n):
-        nonlocal c
-        out = tuple(range(c, c + n))
-        c += n
-        return out
-
-    prop_coord = take(len(props))
-    (k_coord,) = take(1)
-    c_coord = take(idx.n_fp)
-    v_coord = take(idx.n_fp)
-    r_coord = take(idx.n)
-    f_coord = take(idx.n)
-    s_coord = take(idx.n)
-    t_coord = take(idx.n_fp)
-    d_coord = take(idx.n_fp)
-    (pad_coord,) = take(1)
-    (halt_coord,) = take(1)
-    return FeatureLayout(
-        props=props,
-        n_rsub=idx.n,
-        n_fp=idx.n_fp,
-        prop_coord=prop_coord,
-        k_coord=k_coord,
-        c_coord=c_coord,
-        v_coord=v_coord,
-        r_coord=r_coord,
-        f_coord=f_coord,
-        s_coord=s_coord,
-        t_coord=t_coord,
-        d_coord=d_coord,
-        pad_coord=pad_coord,
-        halt_coord=halt_coord,
-        dim=c,
-    )
+    # the width of each *_coord field in field order; None is one int coordinate
+    widths = (len(props), None, idx.n_fp, idx.n_fp, idx.n, idx.n, idx.n, idx.n_fp, idx.n_fp, None, None)
+    groups, c = [], 0
+    for w in widths:
+        groups.append(c if w is None else tuple(range(c, c + w)))
+        c += 1 if w is None else w
+    return FeatureLayout(props, idx.n, idx.n_fp, *groups, dim=c)
 
 
 def layout_to_json(lay: FeatureLayout) -> dict:
-    return {
-        "props": list(lay.props),
-        "n_rsub": lay.n_rsub,
-        "n_fp": lay.n_fp,
-        "prop": list(lay.prop_coord),
-        "k": lay.k_coord,
-        "c": list(lay.c_coord),
-        "v": list(lay.v_coord),
-        "r": list(lay.r_coord),
-        "f": list(lay.f_coord),
-        "s": list(lay.s_coord),
-        "t": list(lay.t_coord),
-        "d": list(lay.d_coord),
-        "pad": lay.pad_coord,
-        "halt": lay.halt_coord,
-        "dim": lay.dim,
-    }
+    """The layout's fields in order, `prop_coord` written as "prop"."""
+    out = {}
+    for field in fields(lay):
+        value = getattr(lay, field.name)
+        out[field.name.removesuffix("_coord")] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +238,8 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
     idx = index(phi)
     if not idx.is_sentence:
         raise FormulaError("only sentences can be compiled")
-    formula_props = {f.name for f in idx.formulas if isinstance(f, (Prop, NegProp))}
+    ops = idx.step.ops  # the counting step's program: each clause resolved once
+    formula_props = {a for op, a, *_ in ops if op == "Prop" or op == "NegProp"}
     if props is None:
         props = formula_props
     elif not formula_props <= set(props):
@@ -313,40 +265,32 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
     k1 = k_old + g3
 
     # ---- stage 3,1: type-3 re-initialization folded with the type-1 update.
-    # Every boolean field z gets  z' = relu(z - g1 - g3) + relu(new + g1 - 1)
-    # [+ init*g3]: keep when no gate fires, type-1 value under g1, fresh
-    # initial value under g3.
+    # Every boolean field z gets  z' = relu(z - g1 - g3) + relu(new + g1 - 1):
+    # keep when no gate fires, type-1 value under g1, its initial 0 under g3.
 
-    def gated(old, new, init_const=0):
-        out = b.relu(old - g1 - g3) + b.relu(new + g1 - 1)
-        if init_const:
-            out = out + init_const * g3
-        return out
+    def gated(old, new):
+        return b.relu(old - g1 - g3) + b.relu(new + g1 - 1)
 
     R1val: dict[int, object] = {}
-    for p, f in enumerate(idx.formulas):
-        if isinstance(f, Prop):
-            val = x[lay.prop_coord[lay.props.index(f.name)]]
-        elif isinstance(f, NegProp):
-            val = 1 - x[lay.prop_coord[lay.props.index(f.name)]]
-        elif isinstance(f, Var):
-            val = x[lay.v_coord[idx.var_index[f.name]]]
-        elif isinstance(f, And):
-            val = b.band(x[lay.r_coord[idx.pos[f.lhs]]], x[lay.r_coord[idx.pos[f.rhs]]])
-        elif isinstance(f, Or):
-            val = b.bor(x[lay.r_coord[idx.pos[f.lhs]]], x[lay.r_coord[idx.pos[f.rhs]]])
-        elif isinstance(f, AtLeast):
+    for p, (op, a, a2, _, _) in enumerate(ops):
+        if op == "Prop":
+            val = x[lay.prop_coord[lay.props.index(a)]]
+        elif op == "NegProp":
+            val = 1 - x[lay.prop_coord[lay.props.index(a)]]
+        elif op == "Var":
+            val = x[lay.v_coord[a]]
+        elif op == "And":
+            val = b.band(x[lay.r_coord[a]], x[lay.r_coord[a2]])
+        elif op == "Or":
+            val = b.bor(x[lay.r_coord[a]], x[lay.r_coord[a2]])
+        elif op == "AtLeast":
             # y's r(body) entry sums neighbor bits: |G[n] ∩ R(body)|
-            val = b.geq_const(y[lay.r_coord[idx.pos[f.body]]], f.grade)
-        elif isinstance(f, AllBut):
+            val = b.geq_const(y[lay.r_coord[a]], a2)
+        elif op == "AllBut":
             # |G[n] \ R(body)| = degree - count < grade
-            cnt = y[lay.r_coord[idx.pos[f.body]]]
-            deg = y[lay.pad_coord]
-            val = b.clip(cnt - deg + f.grade)
-        elif isinstance(f, (Mu, Nu)):
-            val = x[lay.r_coord[idx.pos[f.body]]]
-        else:
-            raise TypeError(f"not a formula: {f!r}")
+            val = b.clip(y[lay.r_coord[a]] - y[lay.pad_coord] + a2)
+        else:  # a fixpoint: its body's result
+            val = x[lay.r_coord[a]]
         R1val[p] = val
 
     F1val: dict[int, object] = {}
@@ -702,6 +646,8 @@ def gnn_from_json(data) -> RecurrentGnn:
     if not isinstance(text, str):
         raise GnnError('"formula" is not a string')
     idx = index(well_name(parse(text)))
+    if not idx.is_sentence:
+        raise GnnError("model formula is not a sentence")
     lay = data.get("layout")
     if not isinstance(lay, dict):
         raise GnnError('"layout" is not an object')

@@ -183,11 +183,12 @@ def graph_to_json(G: LabeledGraph) -> dict:
 
 def load_graph(path) -> LabeledGraph:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise GraphError(f"cannot read graph file: {e}")
-    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
+    # RecursionError: nested too deeply
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise GraphError(f"malformed graph JSON: {e}")
     return graph_from_json(data)
 

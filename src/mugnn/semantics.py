@@ -1,12 +1,15 @@
-"""Ground-truth fixpoint semantics, adorned approximations, and stability.
+"""Ground-truth fixpoint semantics, k-approximations, and stability.
 
 This is the oracle layer: everything downstream (the counting machine, the
-compiled networks) is checked against these functions.
+compiled networks) is checked against these functions.  A k-approximation
+is not a second syntax but a count on the binders: `Evaluator.evaluate`
+iterates every fixpoint k times, or to convergence when k is None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .formula import (
     AllBut,
@@ -20,7 +23,10 @@ from .formula import (
     Or,
     Prop,
     Var,
+    children,
+    free_vars,
     is_fixpoint,
+    well_name,
 )
 from .graph import LabeledGraph
 
@@ -29,60 +35,23 @@ class SemanticsError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Adorned formulas: fixpoints carry an explicit iteration count.
-
-
 @dataclass(frozen=True)
-class AdornedMu:
-    iters: int
-    var: str
-    body: object
+class Approximant:
+    """`formula` with its top fixpoint, if it is one, iterated `outer` times
+    and every fixpoint below it `inner` times."""
+
+    formula: Formula
+    outer: int
+    inner: int
 
 
-@dataclass(frozen=True)
-class AdornedNu:
-    iters: int
-    var: str
-    body: object
+def adorn(phi: Formula, outer: int, inner: int) -> Approximant:
+    """The top-level fixpoint (if any) counted `outer`, all inner ones `inner`."""
+    return Approximant(phi, outer, inner)
 
 
-def _adorn_all(f: Formula, i: int):
-    if isinstance(f, Mu):
-        return AdornedMu(i, f.var, _adorn_all(f.body, i))
-    if isinstance(f, Nu):
-        return AdornedNu(i, f.var, _adorn_all(f.body, i))
-    if isinstance(f, (And, Or)):
-        return type(f)(_adorn_all(f.lhs, i), _adorn_all(f.rhs, i))
-    if isinstance(f, (AtLeast, AllBut)):
-        return type(f)(f.grade, _adorn_all(f.body, i))
-    return f
-
-
-def adorn(phi: Formula, outer: int, inner: int):
-    """Adorn the top-level fixpoint (if any) with `outer`, all inner ones with `inner`."""
-    if isinstance(phi, Mu):
-        return AdornedMu(outer, phi.var, _adorn_all(phi.body, inner))
-    if isinstance(phi, Nu):
-        return AdornedNu(outer, phi.var, _adorn_all(phi.body, inner))
-    return _adorn_all(phi, inner)
-
-
-def uniform(phi: Formula, k: int):
-    return adorn(phi, k, k)
-
-
-def free_of(f) -> frozenset[str]:
-    """Free variables of a plain, adorned, or mixed formula tree."""
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, (AdornedMu, AdornedNu, Mu, Nu)):
-        return free_of(f.body) - {f.var}
-    if isinstance(f, (And, Or)):
-        return free_of(f.lhs) | free_of(f.rhs)
-    if isinstance(f, (AtLeast, AllBut)):
-        return free_of(f.body)
-    return frozenset()
+def uniform(phi: Formula, k: int) -> Approximant:
+    return Approximant(phi, k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -92,31 +61,39 @@ def free_of(f) -> frozenset[str]:
 class Evaluator:
     def __init__(self, G: LabeledGraph):
         self.G = G
-        self._free: dict = {}
-        self._memo: dict = {}
-        self._stable: dict = {}
-        self._uniform: dict = {}
+        self._entries: dict = {}
 
     # -- helpers
 
-    def _free_of(self, f) -> frozenset[str]:
-        got = self._free.get(f)
+    def _entry(self, f) -> tuple[tuple[str, ...], bool, dict, dict]:
+        """f's free variables, sorted, whether f is free of fixpoints, and
+        its memo tables of values and of stable sets."""
+        got = self._entries.get(f)
         if got is None:
-            got = free_of(f)
-            self._free[f] = got
+            if isinstance(f, Approximant):  # brings its own counts
+                got = (tuple(sorted(free_vars(f.formula))), True, {}, {})
+            else:
+                closed = not is_fixpoint(f) and all(self._entry(c)[1] for c in children(f))
+                got = (tuple(sorted(free_vars(f))), closed, {}, {})
+            self._entries[f] = got
         return got
 
-    def _fp(self, f, V: dict) -> tuple:
+    @staticmethod
+    def _key(names: tuple[str, ...], V: dict, k: int | None) -> tuple:
         try:
-            return tuple(sorted((x, V[x]) for x in self._free_of(f)))
+            return k, *[V[x] for x in names]
         except KeyError as e:
             raise SemanticsError(f"free variable {e.args[0]!r} missing from valuation")
 
-    # -- plain and adorned evaluation (one recursion handles both)
+    # -- evaluation
 
-    def evaluate(self, f, V: dict) -> int:
-        key = (f, self._fp(f, V))
-        got = self._memo.get(key)
+    def evaluate(self, f, V: dict, k: int | None = None) -> int:
+        """The nodes where f holds under V, every fixpoint iterated k times,
+        or to convergence when k is None."""
+        names, closed, memo, _ = self._entry(f)
+        # a subformula without fixpoints means the same at every k
+        key = self._key(names, V, None if closed else k)
+        got = memo.get(key)
         if got is not None:
             return got
         G = self.G
@@ -127,49 +104,41 @@ class Evaluator:
         elif isinstance(f, Var):
             r = V[f.name]
         elif isinstance(f, And):
-            r = self.evaluate(f.lhs, V) & self.evaluate(f.rhs, V)
+            r = self.evaluate(f.lhs, V, k) & self.evaluate(f.rhs, V, k)
         elif isinstance(f, Or):
-            r = self.evaluate(f.lhs, V) | self.evaluate(f.rhs, V)
+            r = self.evaluate(f.lhs, V, k) | self.evaluate(f.rhs, V, k)
         elif isinstance(f, AtLeast):
-            r = G.at_least(self.evaluate(f.body, V), f.grade)
+            r = G.at_least(self.evaluate(f.body, V, k), f.grade)
         elif isinstance(f, AllBut):
-            r = G.all_but(self.evaluate(f.body, V), f.grade)
+            r = G.all_but(self.evaluate(f.body, V, k), f.grade)
         elif isinstance(f, (Mu, Nu)):
-            # Kleene iteration; converges within |N| rounds by monotonicity
-            S = 0 if isinstance(f, Mu) else G.full_mask
-            while True:
-                S2 = self.evaluate(f.body, {**V, f.var: S})
-                if S2 == S:
+            # Kleene iteration; converges within |N| rounds by monotonicity,
+            # and past convergence a round changes nothing
+            r = 0 if isinstance(f, Mu) else G.full_mask
+            for _ in count() if k is None else range(k):
+                S = self.evaluate(f.body, {**V, f.var: r}, k)
+                if S == r:
                     break
-                S = S2
-            r = S
-        elif isinstance(f, (AdornedMu, AdornedNu)):
-            S = 0 if isinstance(f, AdornedMu) else G.full_mask
-            for _ in range(f.iters):
-                S = self.evaluate(f.body, {**V, f.var: S})
-            r = S
+                r = S
+        elif isinstance(f, Approximant):
+            phi = f.formula
+            if is_fixpoint(phi):
+                r = self.approx_chain(phi, f.outer, f.inner, V)[-1]
+            else:
+                r = self.evaluate(phi, V, f.inner)
         else:
             raise TypeError(f"not a formula: {f!r}")
-        self._memo[key] = r
+        memo[key] = r
         return r
 
     # -- approximation chains and stability
 
-    def _uniform_body(self, f, k: int):
-        key = (f.body, k)
-        got = self._uniform.get(key)
-        if got is None:
-            got = _adorn_all(f.body, k)
-            self._uniform[key] = got
-        return got
-
     def approx_chain(self, f, i: int, k: int, V: dict) -> list[int]:
         """[[f^(0,k)]], ..., [[f^(i,k)]] for a fixpoint formula f."""
-        body = self._uniform_body(f, k)
         S = 0 if isinstance(f, Mu) else self.G.full_mask
         chain = [S]
         for _ in range(i):
-            S = self.evaluate(body, {**V, f.var: S})
+            S = self.evaluate(f.body, {**V, f.var: S}, k)
             chain.append(S)
         return chain
 
@@ -177,25 +146,21 @@ class Evaluator:
         """Nodes at which f is k-stable (per-node certificate of convergence)."""
         if k < 1:
             raise SemanticsError("stability requires k >= 1")
-        key = (f, k, self._fp(f, V))
-        got = self._stable.get(key)
+        names, closed, _, memo = self._entry(f)
+        key = self._key(names, V, None if closed else k)
+        got = memo.get(key)
         if got is not None:
             return got
-        full = self.G.full_mask
-        if isinstance(f, (Prop, NegProp, Var)):
-            r = full
-        elif isinstance(f, (And, Or)):
-            r = self.stable_set(f.lhs, V, k) & self.stable_set(f.rhs, V, k)
-        elif isinstance(f, (AtLeast, AllBut)):
-            r = self.stable_set(f.body, V, k)
-        elif isinstance(f, (Mu, Nu)):
+        r = self.G.full_mask
+        if isinstance(f, (Mu, Nu)):
             chain = self.approx_chain(f, k, k, V)
-            r = full & ~(chain[k] ^ chain[k - 1])
+            r &= ~(chain[k] ^ chain[k - 1])
             for i in range(k):
                 r &= self.stable_set(f.body, {**V, f.var: chain[i]}, k)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._stable[key] = r
+        else:  # atoms are stable everywhere
+            for c in children(f):
+                r &= self.stable_set(c, V, k)
+        memo[key] = r
         return r
 
     def jk_stable_set(self, alpha: Formula, j: int, k: int, V: dict) -> int:
@@ -223,8 +188,6 @@ def evaluate(phi: Formula, G: LabeledGraph, V: dict | None = None) -> int:
 
 def model_check_stable(phi: Formula, G: LabeledGraph) -> tuple[int, int]:
     """Smallest k with phi k-stable at every node, and the k-approximation there."""
-    from .formula import free_vars, well_name
-
     phi = well_name(phi)
     if free_vars(phi):
         raise FormulaError("model_check_stable requires a sentence")
@@ -232,7 +195,7 @@ def model_check_stable(phi: Formula, G: LabeledGraph) -> tuple[int, int]:
     k = 1
     while True:
         if ev.stable_set(phi, {}, k) == G.full_mask:
-            return ev.evaluate(uniform(phi, k), {}), k
+            return ev.evaluate(phi, {}, k), k
         if k > G.n + 1:  # termination guaranteed at |N|+1; beyond it is a bug
             raise AssertionError("stability scan exceeded |N|+1")
         k += 1

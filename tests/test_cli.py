@@ -355,3 +355,39 @@ def test_gen_pipeline_checks(runner, tmp_path):
     path.write_text(gg.output)
     res = invoke(runner, "check", gf.output.strip(), str(path), "--engine", "counting")
     assert res.exit_code == 0
+
+
+def test_check_non_utf8_graph_exit_3(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    res = invoke(runner, "check", "p", str(bad))
+    assert res.exit_code == 3
+    assert "error: malformed graph JSON" in res.output
+
+
+def test_check_proposition_outside_graph_universe_exit_3(runner, g1_path):
+    res = invoke(runner, "check", "z", g1_path)
+    assert res.exit_code == 3
+    assert "error: proposition 'z' not in universe" in res.output
+
+
+def test_compile_unwritable_path_exit_2(runner, tmp_path):
+    res = invoke(runner, "compile", "p", str(tmp_path / "no" / "such" / "m.json"))
+    assert res.exit_code == 2
+    assert "error: cannot write model" in res.output
+
+
+@pytest.mark.parametrize(
+    "args", [["gen-graph", "--max-nodes", "0"], ["gen-formula", "--max-grade", "0"]]
+)
+def test_gen_bounds_below_one_exit_2(runner, args):
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert "not in the range x>=1" in res.output
+
+
+@pytest.mark.parametrize("props", [",", "P", "p,Q", "mu", "p q", ""])
+def test_gen_formula_rejects_non_proposition_names(runner, props):
+    res = invoke(runner, "gen-formula", "--props", props)
+    assert res.exit_code == 2
+    assert "is not a lowercase proposition name" in res.output

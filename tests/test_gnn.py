@@ -523,12 +523,13 @@ def _atoms(data):
         lambda data: _set(["layer", 1, "weights", 0], [48 + data["layer"][0]["rows"], 1])(data),
         lambda data: _set(["layer", 0, "weights", 0], [48 + data["layer"][0]["rows"], 1])(data),
         lambda data: _set(["layer", -1, "weights", 0], [_atoms(data), 1])(data),
+        _set(["formula"], "mu X.(p | <>Y)"),
     ],
     ids=["format-1", "formula-list", "layout-changed", "string-props", "dim", "out-index",
          "hlt-index", "layer-not-an-object", "bias-length", "row-not-a-list", "odd-row",
          "float-coef", "bool-coef", "first-layer-column-2dim", "negative-column",
          "output-width", "format-2", "own-level-atom", "later-level-atom",
-         "output-reads-past-atoms"],
+         "output-reads-past-atoms", "open-formula"],
 )
 def test_malformed_model_json_rejected(g1, phi_reach, damage):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))

@@ -6,8 +6,6 @@ from mugnn.formula import Mu, Nu, parse, well_name
 from mugnn.gen import random_formula, random_graph
 from mugnn.graph import make_graph
 from mugnn.semantics import (
-    AdornedMu,
-    AdornedNu,
     Evaluator,
     SemanticsError,
     adorn,
@@ -45,23 +43,40 @@ def test_against_naive_oracle():
         assert evaluate(phi, G) == to_mask(naive_evaluate(phi, G, {}))
 
 
-def test_adorn_shapes():
+def test_adorn_outer_top_inner_nested(g1):
+    # the outer count unfolds mu X, the inner one mu Y, by hand on g1
     phi = well_name(parse("mu X.(p | mu Y.(X | <>Y))"))
-    a = adorn(phi, 2, 5)
-    assert isinstance(a, AdornedMu) and a.iters == 2
-    inner = a.body.rhs  # p | mu Y....
-    assert isinstance(inner, AdornedMu) and inner.iters == 5
+    p = g1.prop_mask("p")
+
+    def by_hand(outer, inner):
+        X = 0
+        for _ in range(outer):
+            Y = 0
+            for _ in range(inner):
+                Y = X | g1.at_least(Y, 1)
+            X = p | Y
+        return X
+
+    for outer in range(5):
+        for inner in range(5):
+            assert evaluate(adorn(phi, outer, inner), g1) == by_hand(outer, inner)
+    assert evaluate(adorn(phi, 2, 0), g1) == p  # inner 0: mu Y is empty
+    assert evaluate(adorn(phi, 0, 2), g1) == 0  # outer 0: mu X is empty
+    assert evaluate(adorn(phi, 2, 2), g1) == 0b110
+    assert evaluate(adorn(phi, 2, 5), g1) == 0b111
 
 
-def test_adorn_non_fixpoint_top():
-    phi = parse("p | mu X.<>X")
-    a = adorn(phi, 7, 3)
-    assert a.rhs.iters == 3  # outer count unused
+def test_adorn_non_fixpoint_top(g1):
+    # nu X.<>X after j rounds: nodes with a path of j edges
+    phi = parse("p | nu X.<>X")
+    assert evaluate(adorn(phi, 7, 2), g1) == evaluate(adorn(phi, 0, 2), g1) == 0b101
+    assert evaluate(adorn(phi, 7, 3), g1) == evaluate(uniform(phi, 3), g1) == 0b100
 
 
-def test_adorn_zero():
-    a = adorn(parse("mu X.p"), 0, 3)
-    assert isinstance(a, AdornedMu) and a.iters == 0
+def test_adorn_zero(g1):
+    assert evaluate(adorn(parse("mu X.p"), 0, 3), g1) == 0
+    assert evaluate(adorn(parse("nu X.p"), 0, 3), g1) == g1.full_mask
+    assert evaluate(adorn(parse("mu X.p"), 1, 3), g1) == 0b100
 
 
 def test_adorned_chain_fixture(g1, phi_reach):
