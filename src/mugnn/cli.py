@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
@@ -10,13 +11,12 @@ import time
 import click
 
 from .counting import SafeguardExceeded, run_counting, run_extended
-from .formula import FormulaError, Prop, parse, to_text, well_name
+from .formula import FormulaError, NegProp, Prop, children, parse, to_text, well_name
 from .gen import random_formula, random_graph
 from .gnn import (
     GnnError,
     compile_formula,
     decode,
-    gnn_to_json,
     load_gnn,
     run_gnn,
     save_gnn,
@@ -44,7 +44,18 @@ def _fail(code: int, message: str):
 
 
 def _load(formula_text, graph_path):
-    return well_name(parse(formula_text)), load_graph(graph_path)
+    """The formula, well-named, and the graph.  A proposition outside the
+    graph's universe is a GraphError here, before any engine runs."""
+    phi, G = well_name(parse(formula_text)), load_graph(graph_path)
+    _check_universe(phi, G)
+    return phi, G
+
+
+def _check_universe(f, G):
+    if isinstance(f, (Prop, NegProp)):
+        G.prop_mask(f.name)  # raises GraphError outside the universe
+    for c in children(f):
+        _check_universe(c, G)
 
 
 def _prop_names(ctx, param, value):
@@ -150,7 +161,7 @@ def run(model, graph, max_steps, pretty):
     """Run a saved GNN model on GRAPH."""
     try:
         gnn = load_gnn(model)
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, GnnError, FormulaError) as e:
         _fail(EXIT_PARSE, f"cannot load model: {e}")
     G = load_graph(graph)
     if tuple(G.props) != gnn.props:
@@ -208,14 +219,14 @@ def compare(formula, graph, trials, seed, max_steps):
         sys.exit(1)
 
 
-def _summary_counting(kind, cfg, step):
+def _summary(kind, cfg, D, step):
     return {
         "step": step,
         "kind": kind,
         "k": cfg.k,
         "C": list(cfg.C),
         "F_size": bin(cfg.F).count("1"),
-        "D": [],
+        "D": sorted(cfg.idx.var_names[vi] for vi in D),
         "R": {to_text(cfg.idx.formulas[p]): cfg.R[p].bit_count() for p in range(cfg.idx.n)},
         "S": {to_text(cfg.idx.formulas[p]): cfg.S[p].bit_count() for p in range(cfg.idx.n)},
     }
@@ -227,37 +238,24 @@ def _summary_counting(kind, cfg, step):
 @click.option("--engine", type=click.Choice(("counting", "extended", "gnn")), default="counting")
 @click.option("--max-steps", type=int, default=None)
 def trace(formula, graph, engine, max_steps):
-    """Stream one JSON line per step of the chosen engine."""
+    """Stream one JSON line per step of the chosen engine; the gnn engine's
+    lines come after its run."""
     phi, G = _load(formula, graph)
-    lines = []
+    steps = itertools.count()
+
+    def echo(kind, cfg, D=()):
+        click.echo(json.dumps(_summary(kind, cfg, D, next(steps))))
+
     if engine == "counting":
-        counter = {"i": 0}
-
-        def on_config(kind, cfg):
-            lines.append(_summary_counting(kind, cfg, counter["i"]))
-            counter["i"] += 1
-
-        run_counting(phi, G, on_config=on_config, max_steps=max_steps)
+        run_counting(phi, G, on_config=echo, max_steps=max_steps)
     elif engine == "extended":
-        counter = {"i": 0}
-
-        def on_config(kind, x):
-            entry = _summary_counting(kind, x.config, counter["i"])
-            entry["D"] = sorted(x.config.idx.var_names[vi] for vi in x.D)
-            lines.append(entry)
-            counter["i"] += 1
-
-        run_extended(phi, G, on_config=on_config, max_steps=max_steps)
-    else:
+        run_extended(phi, G, on_config=lambda kind, x: echo(kind, x.config, x.D),
+                     max_steps=max_steps)
+    else:  # the snapshots of a whole run, decoded after it
         gnn = compile_formula(phi, props=G.props)
-        _, iters, snaps = run_gnn(gnn, G, max_steps=max_steps, want_trace=True)
-        for i, vecs in enumerate(snaps):
+        for vecs in run_gnn(gnn, G, max_steps=max_steps, want_trace=True)[2]:
             x = decode(vecs, gnn.layout, gnn.idx, G)
-            entry = _summary_counting("gnn", x.config, i)
-            entry["D"] = sorted(gnn.idx.var_names[vi] for vi in x.D)
-            lines.append(entry)
-    for entry in lines:
-        click.echo(json.dumps(entry))
+            echo("gnn", x.config, x.D)
 
 
 @main.command(name="gen-formula")

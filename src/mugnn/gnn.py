@@ -25,6 +25,7 @@ from .counting import (
     Configuration,
     ExtendedConfiguration,
     SafeguardExceeded,
+    initial_configuration,
     safeguard,
 )
 from .formula import (
@@ -97,88 +98,96 @@ def layout_to_json(lay: FeatureLayout) -> dict:
 
 # ---------------------------------------------------------------------------
 # Encoding extended configurations as per-node vectors
+#
+# A state is one (dim x n) int array with a row per coordinate and a column
+# per node.  The props and the node masks V, T, R and S are bit rows; k, C
+# and the bits of F and D are global values, each broadcast along its row.
+
+
+def _global_rows(lay: FeatureLayout) -> list[int]:
+    return [lay.k_coord, *lay.c_coord, *lay.f_coord, *lay.d_coord]
+
+
+def _mask_rows(lay: FeatureLayout) -> tuple[tuple[int, ...], ...]:
+    return lay.v_coord, lay.t_coord, lay.r_coord, lay.s_coord
+
+
+def _bits(masks: list[int], n: int) -> np.ndarray:
+    """A row per mask, holding bit j of the mask in column j < n."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+
+def _masks(rows: np.ndarray) -> tuple[int, ...]:
+    """The inverse of `_bits`: per 0/1 row, the mask with bit j from column j."""
+    packed = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _tuples(X: np.ndarray) -> tuple:
+    """The columns of a (dim x n) state as per-node tuples of Python ints."""
+    return tuple(map(tuple, X.T.astype(np.int64).tolist()))
+
+
+def _encode(x: ExtendedConfiguration, lay: FeatureLayout) -> np.ndarray:
+    cfg = x.config
+    idx, G = cfg.idx, cfg.G
+    X = np.zeros((lay.dim, G.n), dtype=np.int64)
+    masks = [*map(G.prop_mask, lay.props), *cfg.V, *cfg.T, *cfg.R, *cfg.S]
+    X[[*lay.prop_coord, *chain(*_mask_rows(lay))]] = _bits(masks, G.n)
+    F, D = (cfg.F >> p & 1 for p in range(idx.n)), (fi in x.D for fi in range(idx.n_fp))
+    X[_global_rows(lay)] = np.array([cfg.k, *cfg.C, *F, *D])[:, None]
+    X[lay.pad_coord] = 1
+    if cfg.complete and not x.D:
+        X[lay.halt_coord] = X[lay.s_coord[idx.root]]
+    return X
 
 
 def encode(x: ExtendedConfiguration, layout: FeatureLayout) -> tuple:
-    cfg = x.config
-    idx, G = cfg.idx, cfg.G
-    d_mask = 1 if not x.D else 0
-    vectors = []
-    for n in range(G.n):
-        v = [0] * layout.dim
-        for pi, p in enumerate(layout.props):
-            v[layout.prop_coord[pi]] = 1 if p in G.labels[n] else 0
-        v[layout.k_coord] = cfg.k
-        for fi in range(idx.n_fp):
-            v[layout.c_coord[fi]] = cfg.C[fi]
-            v[layout.v_coord[fi]] = cfg.V[fi] >> n & 1
-            v[layout.t_coord[fi]] = cfg.T[fi] >> n & 1
-            v[layout.d_coord[fi]] = 1 if fi in x.D else 0
-        for p in range(idx.n):
-            v[layout.r_coord[p]] = cfg.R[p] >> n & 1
-            v[layout.f_coord[p]] = cfg.F >> p & 1
-            v[layout.s_coord[p]] = cfg.S[p] >> n & 1
-        v[layout.pad_coord] = 1
-        v[layout.halt_coord] = (
-            (cfg.F >> idx.root & 1) & (cfg.S[idx.root] >> n & 1) & d_mask
-        )
-        vectors.append(tuple(v))
-    return tuple(vectors)
+    """x as per-node vectors: node n's vector is its slice of x."""
+    return _tuples(_encode(x, layout))
 
 
 def decode(
     vectors, layout: FeatureLayout, idx: SubformulaIndex, G: LabeledGraph
 ) -> ExtendedConfiguration:
-    vectors = [list(v) for v in vectors]
+    """The extended configuration whose encoding is `vectors`.  Raises
+    DecodeError unless there is one vector of `dim` ints per node, every
+    global row is equal across nodes, k >= 1, every bit row is 0 or 1 and
+    the pad row is all 1."""
+    lay = layout
     if len(vectors) != G.n:
         raise DecodeError("node count mismatch")
-
-    def require_bool(val, what, n):
-        if val not in (0, 1):
-            raise DecodeError(f"{what} at node {n} is {val}, not a bit")
-        return int(val)
-
-    def require_global(coord, what):
-        vals = {int(v[coord]) for v in vectors}
-        if len(vals) > 1:
-            raise DecodeError(f"{what} disagrees across nodes: {sorted(vals)}")
-        return vals.pop()
-
     if G.n == 0:
         raise DecodeError("cannot decode an empty graph")
-    k = require_global(layout.k_coord, "bound k")
+    X = np.array(vectors)
+    if X.shape != (G.n, lay.dim) or X.dtype.kind not in "biu":
+        raise DecodeError(f"the vectors are not {lay.dim} machine ints per node")
+    X, glob = X.T, _global_rows(lay)
+    split = (X[glob] != X[glob, :1]).any(axis=1)
+    if split.any():
+        row = glob[split.argmax()]
+        raise DecodeError(f"coordinate {row} disagrees across nodes: {sorted(set(X[row].tolist()))}")
+    col = X[:, 0].tolist()
+    k = col[lay.k_coord]
     if k < 1:
         raise DecodeError(f"bound k={k} < 1")
-    C = tuple(require_global(layout.c_coord[fi], f"counter {fi}") for fi in range(idx.n_fp))
-    F = 0
-    for p in range(idx.n):
-        if require_bool(require_global(layout.f_coord[p], f"F bit {p}"), "F", 0):
-            F |= 1 << p
-    D = frozenset(
-        fi
-        for fi in range(idx.n_fp)
-        if require_bool(require_global(layout.d_coord[fi], f"D bit {fi}"), "D", 0)
-    )
-    V = [0] * idx.n_fp
-    T = [0] * idx.n_fp
-    R = [0] * idx.n
-    S = [0] * idx.n
-    for n, vec in enumerate(vectors):
-        if vec[layout.pad_coord] != 1:
-            raise DecodeError(f"pad coordinate at node {n} is {vec[layout.pad_coord]}")
-        for fi in range(idx.n_fp):
-            if require_bool(vec[layout.v_coord[fi]], "v", n):
-                V[fi] |= 1 << n
-            if require_bool(vec[layout.t_coord[fi]], "t", n):
-                T[fi] |= 1 << n
-        for p in range(idx.n):
-            if require_bool(vec[layout.r_coord[p]], "r", n):
-                R[p] |= 1 << n
-            if require_bool(vec[layout.s_coord[p]], "s", n):
-                S[p] |= 1 << n
+    bit_rows = [*lay.f_coord, *lay.d_coord, *chain(*_mask_rows(lay))]
+    not_bit = np.argwhere((X[bit_rows] != 0) & (X[bit_rows] != 1))
+    if len(not_bit):
+        i, n = not_bit[0]
+        raise DecodeError(f"coordinate {bit_rows[i]} at node {n} is {X[bit_rows[i], n]}, not a bit")
+    if (X[lay.pad_coord] != 1).any():
+        n = (X[lay.pad_coord] != 1).argmax()
+        raise DecodeError(f"pad coordinate at node {n} is {X[lay.pad_coord, n]}")
+    V, T, R, S = (_masks(X[list(rows)]) for rows in _mask_rows(lay))
     cfg = Configuration(
-        idx=idx, G=G, k=k, C=C, V=tuple(V), R=tuple(R), F=F, S=tuple(S), T=tuple(T)
+        idx=idx, G=G, k=k, C=tuple(col[c] for c in lay.c_coord), V=V, R=R, S=S, T=T,
+        F=sum(col[c] << p for p, c in enumerate(lay.f_coord)),
     )
+    D = frozenset(fi for fi, c in enumerate(lay.d_coord) if col[c])
     return ExtendedConfiguration(cfg, D)
 
 
@@ -217,18 +226,6 @@ class RecurrentGnn:
         if not (0 <= self.hlt_index < dim and 0 <= self.out_index < dim):
             raise GnnError("halt or output index outside the feature vector")
         return prog
-
-    def init_vector(self, labels) -> tuple:
-        lay, idx = self.layout, self.idx
-        v = [0] * lay.dim
-        for pi, p in enumerate(lay.props):
-            v[lay.prop_coord[pi]] = 1 if p in labels else 0
-        v[lay.k_coord] = 1
-        for fi in range(idx.n_fp):
-            v[lay.v_coord[fi]] = 0 if idx.is_mu[idx.fp_positions[fi]] else 1
-            v[lay.t_coord[fi]] = 1
-        v[lay.pad_coord] = 1
-        return tuple(v)
 
 
 def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
@@ -519,19 +516,19 @@ _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 
 class _Rounds:
-    """Rounds of one model on one graph from the given per-node vectors.  The
+    """Rounds of one model on one graph from the (dim x n) state X0.  The
     state X, the first `dim` rows of the atom buffer, is checked to stay below
     `limit`, so that a neighbour sum stays within the program's `max_input`.
     Everything a round reads or writes is bound here once per run."""
 
-    def __init__(self, gnn: RecurrentGnn, G: LabeledGraph, vectors):
+    def __init__(self, gnn: RecurrentGnn, G: LabeledGraph, X0: np.ndarray):
         dim, prog, E = gnn.dim, gnn.program, G.edge_index
         ys = dim + np.flatnonzero(prog.input_read[dim:])  # the sums the network reads
         self.limit = min(MAX_WEIGHT, prog.max_input / max(1, E.max_degree))
         self.V = np.zeros((prog.n_atoms, G.n))
         self.V[-1] = 1  # the ones row
         self.X = self.V[:dim]
-        self.X[...] = np.array(vectors, dtype=np.float64).reshape(G.n, dim).T
+        self.X[...] = X0
         self.flat = self.X.reshape(-1)  # a view: V is C-contiguous
         # Flat indices into V of the states each neighbour sum adds up and of
         # the sums of the nodes with an out-edge; sinks keep their zero sums.
@@ -553,15 +550,13 @@ class _Rounds:
         self.evaluate()
         self.check()
 
-    def vectors(self) -> tuple:
-        return tuple(map(tuple, self.X.T.astype(np.int64).tolist()))
-
 
 def apply_layer(gnn: RecurrentGnn, G: LabeledGraph, vectors):
-    """One synchronous round: every node combines (own, neighbor-sum)."""
-    rounds = _Rounds(gnn, G, vectors)
+    """One synchronous round on per-node vectors: every node combines (own,
+    neighbor-sum)."""
+    rounds = _Rounds(gnn, G, np.array(vectors, dtype=np.float64).reshape(G.n, gnn.dim).T)
     rounds.step()
-    return rounds.vectors()
+    return _tuples(rounds.X)
 
 
 def run_gnn(
@@ -570,14 +565,16 @@ def run_gnn(
     max_steps: int | None = None,
     want_trace: bool = False,
 ):
-    """Run to the first round where every node's halt coordinate is positive."""
+    """Run from the encoding of the initial configuration at k = 1 to the
+    first round where every node's halt coordinate is positive."""
     if tuple(G.props) != gnn.props:
         raise GnnError(
             f"graph universe {list(G.props)} does not match model universe {list(gnn.props)}"
         )
     limit = max_steps if max_steps is not None else safeguard(gnn.idx, G) + 1
-    rounds = _Rounds(gnn, G, [gnn.init_vector(labels) for labels in G.labels])
-    trace = [rounds.vectors()] if want_trace else None
+    x0 = ExtendedConfiguration(initial_configuration(gnn.idx, G, 1), frozenset())
+    rounds = _Rounds(gnn, G, _encode(x0, gnn.layout))
+    trace = [_tuples(rounds.X)] if want_trace else None
     halt = rounds.X[gnn.hlt_index]
     iters = 0
     while _MIN(halt, initial=1.0) <= 0:  # some node has not halted
@@ -585,7 +582,7 @@ def run_gnn(
             raise SafeguardExceeded(f"GNN run exceeded {limit} iterations")
         rounds.step()
         if want_trace:
-            trace.append(rounds.vectors())
+            trace.append(_tuples(rounds.X))
         iters += 1
     out = (rounds.X[gnn.out_index] > 0).tolist()
     return out, iters, trace
@@ -607,13 +604,6 @@ def gnn_to_json(gnn: RecurrentGnn) -> dict:
         "dim": gnn.dim,
         "formula": gnn.formula_text,
         "layout": layout_to_json(gnn.layout),
-        "init": {
-            "k": 1,
-            "nu_vars": [
-                fi for fi in range(gnn.idx.n_fp)
-                if not gnn.idx.is_mu[gnn.idx.fp_positions[fi]]
-            ],
-        },
         "layer": [
             {
                 "rows": len(W),
@@ -705,9 +695,12 @@ def save_gnn(gnn: RecurrentGnn, path) -> None:
 
 
 def load_gnn(path) -> RecurrentGnn:
-    with open(path) as fh:
+    """Read a model file.  Raises OSError if it cannot be read, and what
+    `gnn_from_json` raises, GnnError among it for a file that is not UTF-8
+    JSON or is nested too deeply for the parser."""
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except RecursionError:
-            raise GnnError("model JSON is nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise GnnError(f"malformed model JSON: {e}") from None
     return gnn_from_json(data)

@@ -217,6 +217,15 @@ def test_run_malformed_model_exit_2(runner, tmp_path, g1_path, damage):
     assert "cannot load model" in res.output
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"{"], ids=["not-utf8", "truncated"])
+def test_run_malformed_model_json_exit_2(runner, tmp_path, g1_path, raw):
+    bad = tmp_path / "m.json"
+    bad.write_bytes(raw)
+    res = invoke(runner, "run", str(bad), g1_path)
+    assert res.exit_code == 2
+    assert "error: cannot load model: malformed model JSON" in res.output
+
+
 def test_run_universe_mismatch_exit_3(runner, tmp_path, g1_path):
     model = str(tmp_path / "m.json")
     invoke(runner, "compile", "p", model, "--props", "p")
@@ -366,9 +375,15 @@ def test_check_non_utf8_graph_exit_3(runner, tmp_path):
 
 
 def test_check_proposition_outside_graph_universe_exit_3(runner, g1_path):
-    res = invoke(runner, "check", "z", g1_path)
-    assert res.exit_code == 3
-    assert "error: proposition 'z' not in universe" in res.output
+    # every engine, and compare and trace, reject it before running
+    runs = [["check", "z", g1_path, "--engine", e] for e in ["oracle", "stable", "counting",
+                                                             "extended", "gnn"]]
+    runs += [["compare", "mu X.(z | <>X)", g1_path]]
+    runs += [["trace", "~z", g1_path, "--engine", e] for e in ["counting", "extended", "gnn"]]
+    for args in runs:
+        res = invoke(runner, *args)
+        assert res.exit_code == 3, args
+        assert res.output == "error: proposition 'z' not in universe ['p', 'q']\n", args
 
 
 def test_compile_unwritable_path_exit_2(runner, tmp_path):

@@ -48,15 +48,51 @@ def random_reachable_ext(rng, phi, G, steps=None):
 
 
 def test_encode_initial(g1, phi_reach):
-    gnn = compile_formula(phi_reach, props=g1.props)
-    x = ExtendedConfiguration(initial_configuration(gnn.idx, g1, 1), frozenset())
-    vecs = encode(x, gnn.layout)
-    for v in vecs:
-        assert v[gnn.layout.k_coord] == 1
-        assert v[gnn.layout.c_coord[0]] == 0
-        assert v[gnn.layout.v_coord[0]] == 0
-        assert v[gnn.layout.pad_coord] == 1
-    assert vecs == tuple(gnn.init_vector(g1.labels[n]) for n in range(3))
+    # A run starts from the encoding of the initial configuration at k = 1:
+    # the labels, k = 1, V all 1 for a nu variable, T and pad all 1.
+    no_p = make_graph(["p", "q"], ["0", "1"], [["q"], []], [(0, 1), (1, 1)])
+    cases = [(g1, phi_reach), (EDGELESS, phi_reach), (no_p, phi_reach),
+             (g1, "nu X.(q & <>X | mu Y.(p | <>Y))")]
+    for G, phi in cases:
+        gnn = compile_formula(phi, props=G.props)
+        lay, idx = gnn.layout, gnn.idx
+        x = ExtendedConfiguration(initial_configuration(idx, G, 1), frozenset())
+        vecs = encode(x, lay)
+        assert run_gnn(gnn, G, want_trace=True)[2][0] == vecs
+        nu = [int(not idx.is_mu[p]) for p in idx.fp_positions]
+        for labels, v in zip(G.labels, vecs):
+            assert [v[c] for c in lay.prop_coord] == [int(p in labels) for p in lay.props]
+            assert [v[c] for c in lay.v_coord] == nu
+            assert [v[c] for c in lay.t_coord] == [1] * idx.n_fp
+            assert v[lay.k_coord] == v[lay.pad_coord] == 1
+            assert sum(v) == len(labels & set(lay.props)) + sum(nu) + idx.n_fp + 2
+    assert nu == [0, 1]  # the last case's V rows: 0 for the inner mu Y, 1 for nu X
+
+
+def encode_per_coordinate(x, lay):
+    """The encoding written coordinate by coordinate: the reference for the
+    array-built `encode`."""
+    cfg = x.config
+    idx, G = cfg.idx, cfg.G
+    vectors = []
+    for n in range(G.n):
+        v = [0] * lay.dim
+        for pi, p in enumerate(lay.props):
+            v[lay.prop_coord[pi]] = int(p in G.labels[n])
+        v[lay.k_coord] = cfg.k
+        for fi in range(idx.n_fp):
+            v[lay.c_coord[fi]] = cfg.C[fi]
+            v[lay.v_coord[fi]] = cfg.V[fi] >> n & 1
+            v[lay.t_coord[fi]] = cfg.T[fi] >> n & 1
+            v[lay.d_coord[fi]] = int(fi in x.D)
+        for p in range(idx.n):
+            v[lay.r_coord[p]] = cfg.R[p] >> n & 1
+            v[lay.f_coord[p]] = cfg.F >> p & 1
+            v[lay.s_coord[p]] = cfg.S[p] >> n & 1
+        v[lay.pad_coord] = 1
+        v[lay.halt_coord] = (cfg.F >> idx.root & 1) & (cfg.S[idx.root] >> n & 1) & (not x.D)
+        vectors.append(tuple(v))
+    return tuple(vectors)
 
 
 def test_encode_decode_roundtrip_random():
@@ -67,6 +103,7 @@ def test_encode_decode_roundtrip_random():
         gnn = compile_formula(phi, props=G.props)
         x = random_reachable_ext(rng, phi, G)
         vecs = encode(x, gnn.layout)
+        assert vecs == encode_per_coordinate(x, gnn.layout)
         assert decode(vecs, gnn.layout, gnn.idx, G) == x
 
 
@@ -86,6 +123,21 @@ def test_decode_rejects_non_boolean(g1, phi_reach):
     vecs[0][gnn.layout.r_coord[0]] = 2
     with pytest.raises(DecodeError):
         decode(vecs, gnn.layout, gnn.idx, g1)
+
+
+def test_decode_rejects_bad_pad_and_node_count(g1, phi_reach):
+    gnn = compile_formula(phi_reach, props=g1.props)
+    x = ExtendedConfiguration(initial_configuration(gnn.idx, g1, 1), frozenset())
+    vecs = [list(v) for v in encode(x, gnn.layout)]
+    assert decode(vecs, gnn.layout, gnn.idx, g1) == x
+    for pad in (0, 2, -1):
+        bad = [v[:] for v in vecs]
+        bad[2][gnn.layout.pad_coord] = pad
+        with pytest.raises(DecodeError, match="pad"):
+            decode(bad, gnn.layout, gnn.idx, g1)
+    for count in (vecs[:2], vecs + vecs[:1], []):
+        with pytest.raises(DecodeError, match="node count"):
+            decode(count, gnn.layout, gnn.idx, g1)
 
 
 def test_compile_atom(g1):
@@ -455,6 +507,7 @@ def test_run_on_empty_graph():
     gnn = compile_formula(parse("mu X.(p | <>X)"), props=["p"])
     out, iters, _ = run_gnn(gnn, G)
     assert out == [] and iters == 0
+    assert run_gnn(gnn, G, want_trace=True) == ([], 0, [()])
 
 
 def test_halting_monotone_on_paths(phi_reach):
@@ -481,6 +534,14 @@ def test_serialization_roundtrip(tmp_path, g1, phi_reach):
     assert (out1, it1) == (out2, it2)
     # bit-exact JSON round trip
     assert gnn_to_json(gnn_from_json(gnn_to_json(gnn))) == gnn_to_json(gnn)
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"{"], ids=["not-utf8", "truncated"])
+def test_load_gnn_malformed_json_is_gnn_error(tmp_path, raw):
+    path = tmp_path / "model.json"
+    path.write_bytes(raw)
+    with pytest.raises(GnnError, match="malformed model JSON"):
+        load_gnn(path)
 
 
 def _set(path, value):
@@ -540,7 +601,7 @@ def test_malformed_model_json_rejected(g1, phi_reach, damage):
 
 def test_model_json_shape(g1, phi_reach):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))
-    assert set(data) >= {"dim", "layout", "init", "layer", "hlt_index", "out_index"}
+    assert set(data) == {"format", "dim", "formula", "layout", "layer", "hlt_index", "out_index"}
     json.dumps(data)  # serializable
     assert data["format"] == 3
     first = 2 * data["dim"]  # the first atom of each level
