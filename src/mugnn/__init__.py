@@ -18,7 +18,6 @@ from .graph import (
     graph_to_json,
     load_graph,
     make_graph,
-    save_graph,
 )
 from .semantics import (
     adorn,
@@ -37,7 +36,6 @@ from .counting import (
     partial_trans3,
     run_counting,
     run_extended,
-    ticks_reset_dep,
     trans1,
     trans2,
     trans3,
@@ -51,6 +49,6 @@ from .gnn import (
     run_gnn,
     save_gnn,
 )
-from .bisim import color_refinement, g_bisimilar
+from .bisim import color_refinement
 
 __all__ = [name for name in dir() if not name.startswith("_")]

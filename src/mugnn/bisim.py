@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphError, LabeledGraph, disjoint_union
+from .graph import LabeledGraph
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,3 @@ def color_refinement(G: LabeledGraph) -> Coloring:
         if len(set(new)) == len(set(colors)):
             return Coloring(new, rounds)
         colors = new
-
-
-def g_bisimilar(G: LabeledGraph, n: int, H: LabeledGraph, m: int) -> bool:
-    if G.props != H.props:
-        raise GraphError("g-bisimilarity needs a common proposition universe")
-    U = disjoint_union(G, H)
-    coloring = color_refinement(U)
-    return coloring.colors[n] == coloring.colors[G.n + m]

@@ -10,7 +10,7 @@ import time
 
 import click
 
-from .counting import SafeguardExceeded, run_counting, run_extended
+from .counting import SafeguardExceeded, initial_configuration, run_counting, run_extended
 from .formula import FormulaError, NegProp, Prop, children, parse, to_text, well_name
 from .gen import random_formula, random_graph
 from .gnn import (
@@ -254,8 +254,11 @@ def trace(formula, graph, engine, max_steps):
     else:  # the snapshots of a whole run, decoded after it
         gnn = compile_formula(phi, props=G.props)
         for vecs in run_gnn(gnn, G, max_steps=max_steps, want_trace=True)[2]:
-            x = decode(vecs, gnn.layout, gnn.idx, G)
-            echo("gnn", x.config, x.D)
+            if G.n:
+                x = decode(vecs, gnn.layout, gnn.idx, G)
+                echo("gnn", x.config, x.D)
+            else:  # no column to decode: the one snapshot is the start state
+                echo("gnn", initial_configuration(gnn.idx, G, 1))
 
 
 @main.command(name="gen-formula")

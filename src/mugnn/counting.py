@@ -146,12 +146,6 @@ def _indices(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def ticks_reset_dep(cfg: Configuration):
-    """(ticking fixpoints, reset variables, dependent fixpoints), all as index sets."""
-    ticks, reset = _ticks_reset(cfg)
-    return _indices(ticks), _indices(reset), _indices(reset & ~ticks)
-
-
 def _trans2(cfg: Configuration, keep_dep_counters: bool):
     ticks, reset = _ticks_reset(cfg)
     if not ticks:

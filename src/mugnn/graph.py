@@ -24,12 +24,20 @@ def mask_of(nodes) -> int:
     return out
 
 
+# Graphs of more nodes count graded clauses with numpy over the edge index;
+# smaller ones loop in Python, which is faster there.  Loop / numpy in µs per
+# `at_least` call, grade 1, 3 edges per node, best of 5x2,000 on a 2-vCPU host:
+# 10 nodes 0.4 / 5.1, 64: 7.1 / 9.9, 96: 11.2 / 10.0, 128: 14.6 / 10.9, 1,000: 117 / 22.4.
+WIDE_GRAPH = 96
+
+
 class EdgeIndex:
-    """Edges sorted by source, as numpy arrays: their targets `dst`, the nodes
-    with an out-edge `sources`, and where each one's edges begin, `starts`."""
+    """Edges sorted by source, as numpy arrays: their sources `src`, targets `dst`,
+    the nodes with an out-edge `sources`, and where each one's edges begin, `starts`."""
 
     def __init__(self, adj: tuple[tuple[int, ...], ...]):
         deg = np.fromiter(map(len, adj), dtype=np.intp, count=len(adj))
+        self.src = np.repeat(np.arange(len(adj)), deg)
         self.dst = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(deg.sum()))
         self.sources = np.flatnonzero(deg)
         self.starts = (np.cumsum(deg) - deg)[self.sources]
@@ -70,18 +78,28 @@ class LabeledGraph:
             raise GraphError(f"proposition {p!r} not in universe {list(self.props)}")
 
     @cached_property
-    def _out_masks(self) -> tuple[tuple[int, int], ...]:
+    def _out_masks(self) -> tuple[tuple[int, int], ...] | None:
+        """(node bit, out-neighbour mask) per node; None above WIDE_GRAPH nodes."""
+        if self.n > WIDE_GRAPH:
+            return None
         return tuple((1 << n, mask_of(out)) for n, out in enumerate(self.adj))
 
     def at_least(self, mask: int, grade: int) -> int:
         """Nodes with at least `grade` out-neighbours in `mask`."""
+        pairs = self._out_masks
+        if pairs is None:  # one count of edge sources, each weighted by its target's bit
+            n, E = self.n, self.edge_index
+            raw = (mask & self.full_mask).to_bytes((n + 7) // 8, "little")
+            bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
+            hits = np.bincount(E.src, weights=bits[E.dst], minlength=n) >= grade
+            return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
         out = 0
         if grade == 1:  # the common case needs no count
-            for bit, succ in self._out_masks:
+            for bit, succ in pairs:
                 if succ & mask:
                     out |= bit
             return out
-        for bit, succ in self._out_masks:
+        for bit, succ in pairs:
             if (succ & mask).bit_count() >= grade:
                 out |= bit
         return out
@@ -191,12 +209,6 @@ def load_graph(path) -> LabeledGraph:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise GraphError(f"malformed graph JSON: {e}")
     return graph_from_json(data)
-
-
-def save_graph(G: LabeledGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_json(G), fh, indent=2)
-        fh.write("\n")
 
 
 def disjoint_union(G: LabeledGraph, H: LabeledGraph) -> LabeledGraph:

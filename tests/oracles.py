@@ -5,12 +5,18 @@ by enumerating candidate node sets, not by Kleene iteration, graded
 bisimilarity by searching bijections, and the counting step is restated
 clause by clause, so agreement is evidence rather than tautology.  Usable
 on small graphs only.
+
+The last section holds helpers over the library's own code that only the
+tests call: graded bisimilarity by color refinement, writing a graph file,
+and the type-2 step's tick and reset sets as index sets.
 """
 
+import json
 from dataclasses import replace
 from itertools import combinations, permutations
 
-from mugnn.counting import ExtendedConfiguration, initial_configuration
+from mugnn.bisim import color_refinement
+from mugnn.counting import ExtendedConfiguration, _indices, _ticks_reset, initial_configuration
 from mugnn.formula import (
     AllBut,
     And,
@@ -22,7 +28,7 @@ from mugnn.formula import (
     Prop,
     Var,
 )
-from mugnn.graph import GraphError
+from mugnn.graph import GraphError, disjoint_union, graph_to_json
 
 
 def all_subsets(n):
@@ -252,3 +258,27 @@ def brute_force_g_bisimilar(G, n, H, m):
         if keep == Z:
             return (n, m) in Z
         Z = keep
+
+
+# ---------------------------------------------------------------------------
+# Helpers over the library's own code.
+
+
+def g_bisimilar(G, n, H, m):
+    """Whether node n of G and node m of H are graded bisimilar: their colors
+    agree in the refinement of the disjoint union."""
+    coloring = color_refinement(disjoint_union(G, H))
+    return coloring.colors[n] == coloring.colors[G.n + m]
+
+
+def save_graph(G, path):
+    with open(path, "w") as fh:
+        json.dump(graph_to_json(G), fh, indent=2)
+        fh.write("\n")
+
+
+def ticks_reset_dep(cfg):
+    """The library's (ticking fixpoints, reset variables, dependent
+    fixpoints) of a configuration, all as index sets."""
+    ticks, reset = _ticks_reset(cfg)
+    return _indices(ticks), _indices(reset), _indices(reset & ~ticks)

@@ -3,13 +3,13 @@ from itertools import product
 
 import pytest
 
-from mugnn.bisim import color_refinement, g_bisimilar
+from mugnn.bisim import color_refinement
 from mugnn.formula import parse
 from mugnn.gen import random_formula, random_graph
 from mugnn.graph import GraphError, disjoint_union, make_graph
 from mugnn.semantics import evaluate
 
-from oracles import brute_force_g_bisimilar
+from oracles import brute_force_g_bisimilar, g_bisimilar
 
 
 def cycle(n, props=("p",)):

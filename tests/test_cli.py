@@ -297,6 +297,19 @@ def test_trace_gnn_line_count_matches_iterations(runner, g1_path):
     assert len(lines) == iters + 1
 
 
+def test_trace_on_empty_graph(runner, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"props": ["p"], "nodes": [], "edges": []}))
+    lines = {}
+    for engine in ("counting", "extended", "gnn"):
+        res = invoke(runner, "trace", REACH, str(path), "--engine", engine)
+        assert res.exit_code == 0, res.output
+        lines[engine] = [json.loads(line) for line in res.output.splitlines()]
+    # the GNN run halts at once: its one snapshot is the start state
+    (only,) = lines["gnn"]
+    assert only["kind"] == "gnn" and {**only, "kind": "init"} == lines["counting"][0]
+
+
 def test_trace_gnn_prints_no_floats(runner, g1_path):
     def no_float(text):
         raise AssertionError(f"float {text} in a trace line")

@@ -16,14 +16,15 @@ from mugnn.counting import (
     run_counting,
     run_extended,
     safeguard,
-    ticks_reset_dep,
     trans1,
     trans2,
     trans3,
 )
 from mugnn.formula import index, parse, to_text, well_name
 from mugnn.gen import random_formula, random_graph
-from mugnn.semantics import Evaluator, adorn, evaluate
+from mugnn.gnn import compile_formula, run_gnn
+from mugnn.graph import WIDE_GRAPH, mask_of
+from mugnn.semantics import Evaluator, adorn, evaluate, model_check_stable
 
 from oracles import (
     reference_etrans_step,
@@ -31,7 +32,9 @@ from oracles import (
     reference_trans1,
     reference_trans2,
     reference_trans3,
+    ticks_reset_dep,
 )
+from test_graph import sparse_graph
 
 
 def idx_of(text):
@@ -191,6 +194,27 @@ def test_run_counting_matches_oracle():
         cfg, _ = run_counting(phi, G)
         assert cfg.R[cfg.idx.root] == evaluate(phi, G)
         assert cfg.k <= G.n + 1
+
+
+@pytest.mark.parametrize("text", [
+    "mu X.(p | <>X)",
+    "nu X.([2]X & mu Y.(q | <>Y))",
+    "nu X.(<2>X | [3]~p)",
+    "mu X.(q | ([1]X & <2>p))",
+])
+def test_engines_agree_on_a_wide_graph(text):
+    # the set-based engines count over the edge index here, the GNN by aggregation
+    G = sparse_graph(random.Random(36), 200, 3)
+    assert G.n > WIDE_GRAPH
+    phi = well_name(parse(text))
+    want = evaluate(phi, G)
+    stable, stable_k = model_check_stable(phi, G)
+    cfg, _ = run_counting(phi, G)
+    x, _ = run_extended(phi, G)
+    out, _, _ = run_gnn(compile_formula(phi, props=G.props), G)
+    assert stable == cfg.R[cfg.idx.root] == x.config.R[x.config.idx.root] == want
+    assert mask_of(n for n, bit in enumerate(out) if bit) == want
+    assert stable_k == cfg.k
 
 
 def test_no_repeat_within_k_phase(g1):

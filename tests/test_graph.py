@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from mugnn.gen import random_graph
 from mugnn.graph import (
+    WIDE_GRAPH,
     GraphError,
     disjoint_union,
     graph_from_json,
@@ -13,8 +14,9 @@ from mugnn.graph import (
     load_graph,
     make_graph,
     mask_of,
-    save_graph,
 )
+
+from oracles import save_graph
 
 G1_JSON = {
     "props": ["p", "q"],
@@ -148,14 +150,44 @@ def test_mask_boolean_algebra(a, b, c):
     assert (a ^ b) == (a | b) & ~(a & b) & full
 
 
-def test_graded_counting_matches_brute_force():
-    rng = random.Random(5)
+def sparse_graph(rng, n, out_degree, props=("p", "q")):
+    """n nodes, each with `out_degree` edges to random targets, self-loops
+    kept and repeats dropped, and each prop with probability 1/2."""
+    labels = [[p for p in props if rng.random() < 0.5] for _ in range(n)]
+    edges = {(a, rng.randrange(n)) for a in range(n) for _ in range(out_degree)}
+    return make_graph(props, [str(i) for i in range(n)], labels, sorted(edges))
+
+
+def graded_cases(rng):
+    """(graph, masks, grades): small random graphs, which count in a loop over
+    nodes, then graphs above WIDE_GRAPH nodes, which count over the edge index."""
     for _ in range(40):
         G = random_graph(rng, max_nodes=7, edge_prob=rng.choice((0.2, 0.5)))
+        assert G._out_masks is not None
         top = max(map(len, G.adj)) + 2  # a grade above every out-degree
-        masks = [0, G.full_mask] + [rng.randrange(G.full_mask + 1) for _ in range(6)]
+        yield G, [0, G.full_mask] + [rng.randrange(G.full_mask + 1) for _ in range(6)], range(1, top + 1)
+    # a count past 255 at the hub, so counts must not wrap around a byte
+    hub = make_graph(["p"], [str(i) for i in range(301)], [[]] * 301, [(0, i) for i in range(1, 301)])
+    n = WIDE_GRAPH + 5
+    edgeless = make_graph(["p"], [str(i) for i in range(n)], [[]] * n, [])
+    loops = make_graph(["p"], [str(i) for i in range(n)], [[]] * n,
+                       [(a, b) for a in range(n) for b in {a, (3 * a + 1) % n}])
+    wide = [(hub, [mask_of(range(1, 256)), mask_of(range(1, 257))], (1, 255, 256, 300, 301))]
+    wide += [(G, [], range(1, 5)) for G in (edgeless, loops, sparse_graph(rng, 200, 3))]
+    for G, masks, grades in wide:
+        assert G.n > WIDE_GRAPH and G._out_masks is None
+        masks += [0, G.full_mask] + [rng.randrange(G.full_mask + 1) for _ in range(6)]
+        yield G, masks, grades
+
+
+def test_graded_counting_matches_brute_force():
+    rng, extra = random.Random(5), random.Random(6)
+    for G, masks, grades in graded_cases(rng):
+        high = extra.getrandbits(64) << G.n  # bits above the nodes count for nothing
         for mask in masks:
-            for grade in range(1, top + 1):
+            for grade in grades:
+                assert G.at_least(mask | high, grade) == G.at_least(mask, grade)
+                assert G.all_but(mask | high, grade) == G.all_but(mask, grade)
                 inside = [sum(mask >> m & 1 for m in out) for out in G.adj]
                 expect_at_least = mask_of(n for n in range(G.n) if inside[n] >= grade)
                 outside = [len(out) - c for out, c in zip(G.adj, inside)]
