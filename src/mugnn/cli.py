@@ -11,7 +11,7 @@ import time
 import click
 
 from .counting import SafeguardExceeded, initial_configuration, run_counting, run_extended
-from .formula import FormulaError, NegProp, Prop, children, parse, to_text, well_name
+from .formula import FormulaError, Prop, index, parse, to_text, well_name
 from .gen import random_formula, random_graph
 from .gnn import (
     GnnError,
@@ -44,18 +44,16 @@ def _fail(code: int, message: str):
 
 
 def _load(formula_text, graph_path):
-    """The formula, well-named, and the graph.  A proposition outside the
-    graph's universe is a GraphError here, before any engine runs."""
-    phi, G = well_name(parse(formula_text)), load_graph(graph_path)
-    _check_universe(phi, G)
-    return phi, G
-
-
-def _check_universe(f, G):
-    if isinstance(f, (Prop, NegProp)):
-        G.prop_mask(f.name)  # raises GraphError outside the universe
-    for c in children(f):
-        _check_universe(c, G)
+    """The index of the formula, well-named, and the graph.  An open formula
+    is a FormulaError and a proposition outside the graph's universe a
+    GraphError here, before any engine runs."""
+    idx = index(well_name(parse(formula_text)))
+    if not idx.is_sentence:
+        raise FormulaError("a sentence (no free variables) is required")
+    G = load_graph(graph_path)
+    for p in sorted(idx.step.props):
+        G.prop_mask(p)  # raises GraphError outside the universe
+    return idx, G
 
 
 def _prop_names(ctx, param, value):
@@ -71,18 +69,19 @@ def _prop_names(ctx, param, value):
     return names
 
 
-def _run_engine(phi, G, engine, max_steps=None):
+def _run_engine(idx, G, engine, max_steps=None):
     """Returns (mask, k_used or None, iterations or None)."""
+    phi = idx.root_formula
     if engine == "oracle":
         return evaluate(phi, G), None, None
     if engine == "stable":
         mask, k = model_check_stable(phi, G)
         return mask, k, None
     if engine == "counting":
-        cfg, steps = run_counting(phi, G, max_steps=max_steps)
+        cfg, steps = run_counting(idx, G, max_steps=max_steps)
         return cfg.R[cfg.idx.root], cfg.k, steps
     if engine == "extended":
-        x, steps = run_extended(phi, G, max_steps=max_steps)
+        x, steps = run_extended(idx, G, max_steps=max_steps)
         cfg = x.config
         return cfg.R[cfg.idx.root], cfg.k, steps
     if engine == "gnn":
@@ -131,10 +130,11 @@ def main():
 @click.option("--json", "pretty", is_flag=True, help="pretty-print the JSON report")
 def check(formula, graph, engine, max_steps, pretty):
     """Evaluate FORMULA on GRAPH with the chosen engine."""
-    phi, G = _load(formula, graph)
+    idx, G = _load(formula, graph)
     t0 = time.perf_counter()
-    mask, k_used, iters = _run_engine(phi, G, engine, max_steps)
-    _emit(_report(phi, G, graph, engine, mask, k_used, iters, time.perf_counter() - t0), pretty)
+    mask, k_used, iters = _run_engine(idx, G, engine, max_steps)
+    elapsed = time.perf_counter() - t0
+    _emit(_report(idx.root_formula, G, graph, engine, mask, k_used, iters, elapsed), pretty)
 
 
 @main.command(name="compile")
@@ -185,18 +185,17 @@ def compare(formula, graph, trials, seed, max_steps):
     if trials is not None:
         rng = random.Random(seed)
         for _ in range(trials):
-            instances.append((random_formula(rng), random_graph(rng)))
+            instances.append((index(random_formula(rng)), random_graph(rng)))
     else:
         if formula is None or graph is None:
             _fail(EXIT_PARSE, "compare needs FORMULA and GRAPH, or --trials")
-        phi, G = _load(formula, graph)
-        instances.append((phi, G))
+        instances.append(_load(formula, graph))
 
     disagreements = 0
-    for phi, G in instances:
+    for idx, G in instances:
         results = {}
         for engine in ENGINES:
-            results[engine], _, _ = _run_engine(phi, G, engine, max_steps)
+            results[engine], _, _ = _run_engine(idx, G, engine, max_steps)
         baseline = results["oracle"]
         bad = {e: m for e, m in results.items() if m != baseline}
         if bad:
@@ -207,14 +206,14 @@ def compare(formula, graph, trials, seed, max_steps):
                 json.dumps(
                     {
                         "verdict": "disagree",
-                        "formula": to_text(phi),
+                        "formula": to_text(idx.root_formula),
                         "engine": diff_engine,
                         "first_differing_node": G.node_ids[first_node],
                     }
                 )
             )
         else:
-            click.echo(json.dumps({"verdict": "agree", "formula": to_text(phi)}))
+            click.echo(json.dumps({"verdict": "agree", "formula": to_text(idx.root_formula)}))
     if disagreements:
         sys.exit(1)
 
@@ -240,19 +239,19 @@ def _summary(kind, cfg, D, step):
 def trace(formula, graph, engine, max_steps):
     """Stream one JSON line per step of the chosen engine; the gnn engine's
     lines come after its run."""
-    phi, G = _load(formula, graph)
+    idx, G = _load(formula, graph)
     steps = itertools.count()
 
     def echo(kind, cfg, D=()):
         click.echo(json.dumps(_summary(kind, cfg, D, next(steps))))
 
     if engine == "counting":
-        run_counting(phi, G, on_config=echo, max_steps=max_steps)
+        run_counting(idx, G, on_config=echo, max_steps=max_steps)
     elif engine == "extended":
-        run_extended(phi, G, on_config=lambda kind, x: echo(kind, x.config, x.D),
+        run_extended(idx, G, on_config=lambda kind, x: echo(kind, x.config, x.D),
                      max_steps=max_steps)
     else:  # the snapshots of a whole run, decoded after it
-        gnn = compile_formula(phi, props=G.props)
+        gnn = compile_formula(idx.root_formula, props=G.props)
         for vecs in run_gnn(gnn, G, max_steps=max_steps, want_trace=True)[2]:
             if G.n:
                 x = decode(vecs, gnn.layout, gnn.idx, G)

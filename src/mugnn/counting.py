@@ -17,9 +17,9 @@ a ReLU network can simulate (counters only ever change by +-1).
 
 Steps run from the index's step program (`SubformulaIndex.step`): one
 opcode per position with its operands resolved, child masks for the
-validity test, and variable sets as masks over fixpoint indices for the
-reset closure.  Graded clauses count on the graph (`LabeledGraph.at_least`
-and `all_but`).
+validity test, and variable sets as masks over fixpoint indices, among
+them the variables each tick resets.  Graded clauses count on the graph
+(`LabeledGraph.at_least` and `all_but`).
 """
 
 from __future__ import annotations
@@ -127,18 +127,11 @@ def _ticks_reset(cfg: Configuration) -> tuple[int, int]:
     """(ticking fixpoints, reset variables) as masks over fixpoint indices."""
     step = cfg.idx.step
     F, C, top = cfg.F, cfg.C, cfg.k - 1
-    ticks = 0
+    ticks = reset = 0
     for fi, (sub, tfp) in enumerate(step.binders):
         if F & sub == sub and C[fi] < top and all(C[j] == top for j in tfp):
             ticks |= 1 << fi
-    # least closure: a variable resets if its binder ticks or if its binder
-    # mentions a resetting variable free
-    reset, grown = 0, ticks
-    while grown != reset:
-        reset = grown
-        for bit, free in step.bound:
-            if free & grown:
-                grown |= bit
+            reset |= step.resets[fi]
     return ticks, reset
 
 

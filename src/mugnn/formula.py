@@ -411,13 +411,6 @@ class SubformulaIndex:
             tfp.append(frozenset(acc))
         self.tfp: tuple[frozenset[int], ...] = tuple(tfp)
 
-        # maximum fixpoint nesting depth
-        depth: list[int] = []
-        for p in range(self.n):
-            d = max((depth[c] for c in self.sub[p]), default=0)
-            depth.append(d + 1 if self.is_fp[p] else d)
-        self.q = depth[self.root] if self.n else 0
-
     @cached_property
     def step(self) -> StepProgram:
         """This index compiled for the counting step, built on first use."""
@@ -451,10 +444,11 @@ class StepProgram:
     variable's fixpoint index (Var), the operand positions (And, Or), the
     body position and grade (AtLeast, AllBut), or the body position and
     fixpoint index (Mu, Nu).  Fixpoint i has binders[i] = (mask of its direct
-    subformulas, its strict fixpoint subformulas) and bound[i] = (1 << i, its
-    free variables); `open` is (1 << p, free variables) for every position
-    with some, and `nu` the nu fixpoints.  Variable sets are masks over
-    fixpoint indices.
+    subformulas, its strict fixpoint subformulas) and resets[i], the
+    variables a tick of it resets: i itself, and every binder that mentions
+    a resetting variable free.  `open` is (1 << p, free variables) for every
+    position with some, `nu` the nu fixpoints and `props` the propositions.
+    Variable sets are masks over fixpoint indices.
     """
 
     def __init__(self, idx: SubformulaIndex):
@@ -476,6 +470,16 @@ class StepProgram:
         self.ops = tuple(ops)
         fps = idx.fp_positions
         self.binders = tuple((ops[p][4], tuple(sorted(idx.tfp[p]))) for p in fps)
-        self.bound = tuple((1 << i, free[p]) for i, p in enumerate(fps))
+        # A binder that mentions variable i free is nested in binder i, so its
+        # index is smaller: in ascending order its resets are already known.
+        resets = []
+        for i in range(len(fps)):
+            m = 1 << i
+            for j, p in enumerate(fps[:i]):
+                if free[p] >> i & 1:
+                    m |= resets[j]
+            resets.append(m)
+        self.resets = tuple(resets)
         self.open = tuple((1 << p, m) for p, m in enumerate(free) if m)
         self.nu = sum(1 << i for i, p in enumerate(fps) if not idx.is_mu[p])
+        self.props = frozenset(a for op, a, *_ in ops if op == "Prop" or op == "NegProp")

@@ -77,7 +77,7 @@ class FeatureLayout:
 
 
 def make_layout(idx: SubformulaIndex, props) -> FeatureLayout:
-    props = tuple(sorted(props))
+    props = tuple(sorted(set(props)))
     # the width of each *_coord field in field order; None is one int coordinate
     widths = (len(props), None, idx.n_fp, idx.n_fp, idx.n, idx.n, idx.n, idx.n_fp, idx.n_fp, None, None)
     groups, c = [], 0
@@ -229,174 +229,117 @@ class RecurrentGnn:
 
 
 def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
+    """One extended step (`etrans_step`) as a ReLU layer, emitted from the
+    index's step program stage by stage."""
     if isinstance(phi, str):
         phi = parse(phi)
     phi = well_name(phi)
     idx = index(phi)
     if not idx.is_sentence:
         raise FormulaError("only sentences can be compiled")
-    ops = idx.step.ops  # the counting step's program: each clause resolved once
-    formula_props = {a for op, a, *_ in ops if op == "Prop" or op == "NegProp"}
+    step = idx.step
     if props is None:
-        props = formula_props
-    elif not formula_props <= set(props):
+        props = step.props
+    elif not step.props <= set(props):
         raise GnnError("proposition universe must cover the formula's propositions")
     lay = make_layout(idx, props)
 
     b = CircuitBuilder(2 * lay.dim)
-    x = [b.inp(i) for i in range(lay.dim)]
-    y = [b.inp(lay.dim + i) for i in range(lay.dim)]
-
-    n_fp = idx.n_fp
+    P = {a: b.inp(c) for a, c in zip(lay.props, lay.prop_coord)}
+    K = b.inp(lay.k_coord)
+    R, F, S, V, T, C, D = (
+        [b.inp(c) for c in coords]
+        for coords in (lay.r_coord, lay.f_coord, lay.s_coord, lay.v_coord, lay.t_coord,
+                       lay.c_coord, lay.d_coord)
+    )
+    # the neighbour sums: of R, the neighbours in R; of the pad, the degree
+    Ry = [b.inp(lay.dim + c) for c in lay.r_coord]
+    degree = b.inp(lay.dim + lay.pad_coord)
     root = idx.root
-    fps = idx.fp_positions
 
-    # ---- gates for the composite step
-    d_any0 = b.bor(*(x[lay.d_coord[fi]] for fi in range(n_fp)))
-    d_empty0 = 1 - d_any0
-    complete0 = x[lay.f_coord[root]]
-    g3 = b.band(d_empty0, complete0)     # restart at k+1 (partial type-3)
-    g1 = d_empty0 - g3                   # recompute (type-1); exclusive with g3
-
-    k_old = x[lay.k_coord]
-    k1 = k_old + g3
-
-    # ---- stage 3,1: type-3 re-initialization folded with the type-1 update.
-    # Every boolean field z gets  z' = relu(z - g1 - g3) + relu(new + g1 - 1):
-    # keep when no gate fires, type-1 value under g1, its initial 0 under g3.
+    # ---- stage 3,1: restart at k+1 (g3, partial type-3) or recompute (g1,
+    # type-1), exclusive, and neither while D is non-empty.  A bit field
+    # keeps its value under no gate, takes the type-1 value under g1 and 0
+    # under g3.
+    d_empty = 1 - b.bor(*D)
+    g3 = b.band(d_empty, F[root])
+    g1 = d_empty - g3
+    k1 = K + g3
 
     def gated(old, new):
         return b.relu(old - g1 - g3) + b.relu(new + g1 - 1)
 
-    R1val: dict[int, object] = {}
-    for p, (op, a, a2, _, _) in enumerate(ops):
+    Rn, Fn, Sn = [], [], []
+    for p, (op, a, a2, _, _) in enumerate(step.ops):
+        f = b.band(*(F[c] for c in idx.sub[p]))
+        s = b.band(*(S[c] for c in idx.sub[p]))
         if op == "Prop":
-            val = x[lay.prop_coord[lay.props.index(a)]]
+            r = P[a]
         elif op == "NegProp":
-            val = 1 - x[lay.prop_coord[lay.props.index(a)]]
+            r = 1 - P[a]
         elif op == "Var":
-            val = x[lay.v_coord[a]]
+            r = V[a]
         elif op == "And":
-            val = b.band(x[lay.r_coord[a]], x[lay.r_coord[a2]])
+            r = b.band(R[a], R[a2])
         elif op == "Or":
-            val = b.bor(x[lay.r_coord[a]], x[lay.r_coord[a2]])
+            r = b.bor(R[a], R[a2])
         elif op == "AtLeast":
-            # y's r(body) entry sums neighbor bits: |G[n] ∩ R(body)|
-            val = b.geq_const(y[lay.r_coord[a]], a2)
-        elif op == "AllBut":
-            # |G[n] \ R(body)| = degree - count < grade
-            val = b.clip(y[lay.r_coord[a]] - y[lay.pad_coord] + a2)
-        else:  # a fixpoint: its body's result
-            val = x[lay.r_coord[a]]
-        R1val[p] = val
+            r = b.geq_const(Ry[a], a2)
+        elif op == "AllBut":  # |G[n] \ R(body)| = degree - count < grade
+            r = b.clip(Ry[a] - degree + a2)
+        else:  # a fixpoint with body a and index a2, valid once C = k-1
+            r = R[a]
+            s = b.band(s, T[a2], b.eqb(V[a2], Rn[a]))
+            f = b.band(f, b.clip(C[a2] - K + 2))
+        Rn.append(r)
+        Fn.append(f)
+        Sn.append(s)
+    R1, F1, S1 = ([gated(o, n) for o, n in zip(old, new)] for old, new in ((R, Rn), (F, Fn), (S, Sn)))
+    V1 = [b.clip(v + g3) if step.nu >> i & 1 else b.relu(v - g3) for i, v in enumerate(V)]
+    T1, D1 = ([b.clip(z + g3) for z in field] for field in (T, D))
 
-    F1val: dict[int, object] = {}
-    for p in range(idx.n):
-        subs = [x[lay.f_coord[c]] for c in idx.sub[p]]
-        val = b.band(*subs)
-        if idx.is_fp[p]:
-            fi = idx.fp_index[p]
-            at_max = b.clip(x[lay.c_coord[fi]] - k_old + 2)  # C = k-1
-            val = b.band(val, at_max)
-        F1val[p] = val
+    # ---- stage 2: the ticks, then each variable's reset as one OR over the
+    # ticks that reset it, all gated on D still being empty
+    g2 = 1 - b.bor(*D1)
+    tick = [
+        b.band(F1[body], b.clip(k1 - C[i] - 1), *(b.clip(C[j] - k1 + 2) for j in tfp))
+        for i, (body, (_, tfp)) in enumerate(zip(idx.body_pos, step.binders))
+    ]
 
-    S1val: dict[int, object] = {}
-    for p in range(idx.n):
-        if idx.is_fp[p]:
-            fi = idx.fp_index[p]
-            bp = idx.body_pos[fi]
-            agree = b.eqb(x[lay.v_coord[fi]], R1val[bp])
-            S1val[p] = b.band(x[lay.s_coord[bp]], x[lay.t_coord[fi]], agree)
-        else:
-            S1val[p] = b.band(*(x[lay.s_coord[c]] for c in idx.sub[p]))
+    def reset(variables: int):
+        return b.bor(*(t for t, m in zip(tick, step.resets) if m & variables))
 
-    r1 = {p: gated(x[lay.r_coord[p]], R1val[p]) for p in range(idx.n)}
-    F1 = {p: gated(x[lay.f_coord[p]], F1val[p]) for p in range(idx.n)}
-    s1 = {p: gated(x[lay.s_coord[p]], S1val[p]) for p in range(idx.n)}
-    t1 = {fi: b.clip(x[lay.t_coord[fi]] + g3) for fi in range(n_fp)}
-    v1 = {}
-    for fi in range(n_fp):
-        old = x[lay.v_coord[fi]]
-        if idx.is_mu[fps[fi]]:
-            v1[fi] = b.relu(old - g3)
-        else:
-            v1[fi] = b.clip(old + g3)
-    D1 = {fi: b.clip(x[lay.d_coord[fi]] + g3) for fi in range(n_fp)}
-    C1 = {fi: x[lay.c_coord[fi]] for fi in range(n_fp)}  # untouched so far
-
-    # ---- stage 2: tick / reset, gated on the residual set still being empty
-    g2 = 1 - b.bor(*(D1[fi] for fi in range(n_fp)))
-
-    tick = {}
-    for fi in range(n_fp):
-        p = fps[fi]
-        parts = [F1[c] for c in idx.sub[p]]
-        parts.append(b.clip(k1 - C1[fi] - 1))                   # C < k-1
-        for bj in idx.tfp[p]:
-            parts.append(b.clip(C1[bj] - k1 + 2))               # C(beta) = k-1
-        tick[fi] = b.band(*parts)
-
-    # layered closure of the reset set
-    delta = {fi: b.bor(*(tick[idx.var_index[z]] for z in idx.free[fps[fi]])) for fi in range(n_fp)}
-    for _ in range(idx.q):
-        delta = {
-            fi: b.bor(
-                delta[fi],
-                *(delta[idx.var_index[z]] for z in idx.free[fps[fi]]),
-            )
-            for fi in range(n_fp)
-        }
-    reset = {fi: b.bor(tick[fi], delta[fi]) for fi in range(n_fp)}
-    dep = {fi: b.relu(delta[fi] - tick[fi]) for fi in range(n_fp)}
-
-    ga = {fi: b.band(g2, tick[fi]) for fi in range(n_fp)}
-    gb = {fi: b.band(g2, dep[fi]) for fi in range(n_fp)}
-
-    C2 = {fi: C1[fi] + ga[fi] for fi in range(n_fp)}  # dep counters retained
-    v2 = {}
-    t2 = {}
-    for fi in range(n_fp):
-        bp = idx.body_pos[fi]
-        keep = b.relu(v1[fi] - ga[fi] - gb[fi])
-        ticked = b.relu(r1[bp] + ga[fi] - 1)
-        v2[fi] = keep + ticked
-        if not idx.is_mu[fps[fi]]:
-            v2[fi] = v2[fi] + gb[fi]
-        tkeep = b.relu(t1[fi] - ga[fi] - gb[fi])
-        tticked = b.relu(b.band(t1[fi], s1[bp]) + ga[fi] - 1)
-        t2[fi] = tkeep + tticked + gb[fi]
-    F2 = {}
-    for p in range(idx.n):
-        frees = [reset[idx.var_index[z]] for z in idx.free[p]]
-        if frees:
-            F2[p] = b.relu(F1[p] - b.band(g2, b.bor(*frees)))
-        else:
-            F2[p] = F1[p]
-    D2 = {fi: b.relu(D1[fi] - g2) + b.relu(dep[fi] + g2 - 1) for fi in range(n_fp)}
+    # a tick resets its own variable, so dep = reset - tick is a bit
+    dep = [reset(1 << i) - t for i, t in enumerate(tick)]
+    ga = [b.band(g2, t) for t in tick]
+    gb = [b.band(g2, d) for d in dep]
+    V2, T2 = [], []
+    for i, body in enumerate(idx.body_pos):
+        V2.append(b.relu(V1[i] - ga[i] - gb[i]) + b.relu(R1[body] + ga[i] - 1)
+                  + (gb[i] if step.nu >> i & 1 else 0))
+        T2.append(b.relu(T1[i] - ga[i] - gb[i]) + b.relu(b.band(T1[i], S1[body]) + ga[i] - 1)
+                  + gb[i])
+    F2 = list(F1)
+    for bit, free in step.open:
+        p = bit.bit_length() - 1
+        F2[p] = b.relu(F1[p] - b.band(g2, reset(free)))
+    D2 = [b.relu(d - g2) + b.relu(e + g2 - 1) for d, e in zip(D1, dep)]
+    C2 = [c + a for c, a in zip(C, ga)]  # dep counters retained
 
     # ---- stage r: one decrement of residual counters
-    dec = {fi: b.band(D2[fi], b.clip(C2[fi])) for fi in range(n_fp)}
-    C3 = {fi: C2[fi] - dec[fi] for fi in range(n_fp)}
-    D3 = {fi: b.band(D2[fi], b.clip(C2[fi] - 1)) for fi in range(n_fp)}
-
-    halt = b.band(F2[root], s1[root], 1 - b.bor(*(D3[fi] for fi in range(n_fp))))
+    C3 = [c - b.band(d, b.clip(c)) for c, d in zip(C2, D2)]
+    D3 = [b.band(d, b.clip(c - 1)) for c, d in zip(C2, D2)]
+    halt = b.band(F2[root], S1[root], 1 - b.bor(*D3))
 
     outputs = [None] * lay.dim
-    for pi in range(len(lay.props)):
-        outputs[lay.prop_coord[pi]] = x[lay.prop_coord[pi]]
-    outputs[lay.k_coord] = k1
-    for fi in range(n_fp):
-        outputs[lay.c_coord[fi]] = C3[fi]
-        outputs[lay.v_coord[fi]] = v2[fi]
-        outputs[lay.t_coord[fi]] = t2[fi]
-        outputs[lay.d_coord[fi]] = D3[fi]
-    for p in range(idx.n):
-        outputs[lay.r_coord[p]] = r1[p]
-        outputs[lay.f_coord[p]] = F2[p]
-        outputs[lay.s_coord[p]] = s1[p]
-    outputs[lay.pad_coord] = b.const(1)
-    outputs[lay.halt_coord] = halt
-
+    for coords, values in (
+        (lay.prop_coord, P.values()), ((lay.k_coord,), (k1,)), (lay.c_coord, C3),
+        (lay.v_coord, V2), (lay.r_coord, R1), (lay.f_coord, F2), (lay.s_coord, S1),
+        (lay.t_coord, T2), (lay.d_coord, D3), ((lay.pad_coord,), (b.const(1),)),
+        ((lay.halt_coord,), (halt,)),
+    ):
+        for c, e in zip(coords, values):
+            outputs[c] = e
     comb = b.build(outputs)
     for rows, bias in comb.layers:
         if max(map(abs, chain(bias, (c for row in rows for _, c in row))), default=0) > MAX_WEIGHT:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mugnn.cli import main
+from mugnn.cli import ENGINES, main
 from mugnn.formula import MAX_DEPTH
 from mugnn.gnn import GnnError, compile_formula, gnn_to_json
 from mugnn.graph import graph_to_json
@@ -140,6 +141,40 @@ def test_compile_then_run_matches_check(runner, tmp_path, g1_path):
 def test_compile_rejects_open_formula(runner, tmp_path):
     res = invoke(runner, "compile", "X | p", str(tmp_path / "m.json"))
     assert res.exit_code == 2
+
+
+def test_open_formula_exit_2(runner, g1_path):
+    # every engine, and compare and trace, reject it with one message
+    runs = [["check", "p | X", g1_path, "--engine", e] for e in ENGINES]
+    runs += [["compare", "p | X", g1_path]]
+    runs += [["trace", "p | X", g1_path, "--engine", e] for e in ["counting", "extended", "gnn"]]
+    for args in runs:
+        res = invoke(runner, *args)
+        assert res.exit_code == 2, args
+        assert res.output == "error: a sentence (no free variables) is required\n", args
+
+
+def test_compile_duplicate_props_then_run(runner, tmp_path, g1_path):
+    model = str(tmp_path / "m.json")
+    assert invoke(runner, "compile", REACH, model, "--props", "p,p,q").exit_code == 0
+    res = invoke(runner, "run", model, g1_path)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["output"] == {"0": True, "1": True, "2": True}
+
+
+TOKENS = ("mu", "nu", "X", "Y", "p", "q", "z", "~", "&", "|", "(", ")", ".", "<>", "[]",
+          "<2>", "[3]", "<0>", "<", "]", "P", "7")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12).map(" ".join))
+def test_formula_text_fuzz_ends_in_a_documented_exit_code(runner, g1_path, tmp_path, text):
+    runs = [["check", text, g1_path, "--engine", e] for e in ENGINES]
+    runs += [["compile", text, str(tmp_path / "m.json")]]
+    for args in runs:
+        res = runner.invoke(main, args)  # an uncaught exception exits 1
+        assert res.exit_code in (0, 2, 3, 4), (args, res.output, res.exception)
+        assert "Traceback" not in res.output, args
 
 
 def test_run_bad_model_exit_2(runner, tmp_path, g1_path):

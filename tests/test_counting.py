@@ -348,7 +348,7 @@ def test_step_matches_reference():
         prev.clear()
         run_extended(phi, G, on_config=on_extended)
         idx = index(phi)
-        seen["nested"] += idx.q >= 2
+        seen["nested"] += any(tfp for _, tfp in idx.step.binders)
         seen["mu and nu"] += 0 < sum(idx.is_mu) < idx.n_fp
         seen["grade 3"] += "3" in to_text(phi)
         seen["sink"] += () in G.adj

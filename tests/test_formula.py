@@ -140,8 +140,17 @@ def test_index_single_binder(phi_reach):
     idx = index(phi_reach)
     assert idx.fp_positions == (idx.root,)
     assert idx.var_names == ("X",)
-    assert idx.q == 1
+    assert idx.step.resets == (1,)  # a tick of X resets X alone
     assert idx.is_sentence
+
+
+def test_step_resets_close_over_binders_that_mention_a_reset():
+    # fixpoint indices are in post-order, inner binders first
+    chain = index(parse("mu X1.(p | <>mu X2.(X1 | <>mu X3.(X2 | <>X3)))"))
+    assert chain.var_names == ("X3", "X2", "X1")
+    assert chain.step.resets == (0b001, 0b011, 0b111)  # X3 resets with X1 through X2
+    graded = index(parse("nu X.([2]X & mu Y.(q | <>Y))"))
+    assert graded.step.resets == (0b01, 0b10)  # Y's binder does not mention X
 
 
 def test_index_requires_well_named():

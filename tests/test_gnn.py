@@ -171,6 +171,36 @@ def test_compile_paper_nested_formula():
         assert out_mask(out) == evaluate(phi, G)
 
 
+def reset_chain(m: int) -> str:
+    """mu X1.(p | <>mu X2.(X1 | <>... mu Xm.(X(m-1) | <>Xm))): binder i+1
+    mentions Xi free, so a tick of X1 resets all m variables in turn."""
+    text = f"X{m}"
+    for i in range(m, 1, -1):
+        text = f"mu X{i}.(X{i - 1} | <>{text})"
+    return f"mu X1.(p | <>{text})"
+
+
+def test_depth_does_not_grow_with_reset_chain():
+    depth = {m: len(compile_formula(reset_chain(m)).comb.layers) for m in (2, 5)}
+    assert depth[5] <= depth[2] + 1
+
+
+@pytest.mark.parametrize("text, depth, rows", [
+    ("mu X.(p | <>X)", 8, 90),
+    ("nu X.([2]X & mu Y.(q | <>Y))", 10, 174),
+])
+def test_compiled_size_does_not_rise(text, depth, rows):
+    # levels and rows of the compiler that unrolled the reset closure
+    layers = compile_formula(text).comb.layers
+    assert len(layers) <= depth
+    assert sum(len(W) for W, _ in layers) <= rows
+
+
+def test_duplicate_props_compile_to_the_same_model(phi_reach):
+    twice = compile_formula(phi_reach, props=["q", "p", "p"])
+    assert gnn_to_json(twice) == gnn_to_json(compile_formula(phi_reach, props=["p", "q"]))
+
+
 def test_universe_mismatch_rejected(g1):
     gnn = compile_formula(parse("p"), props=["p"])
     with pytest.raises(GnnError):
