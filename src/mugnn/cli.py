@@ -11,7 +11,7 @@ import time
 import click
 
 from .counting import SafeguardExceeded, initial_configuration, run_counting, run_extended
-from .formula import FormulaError, Prop, index, parse, to_text, well_name
+from .formula import FormulaError, Prop, parse, sentence, to_text
 from .gen import random_formula, random_graph
 from .gnn import (
     GnnError,
@@ -47,11 +47,9 @@ def _load(formula_text, graph_path):
     """The index of the formula, well-named, and the graph.  An open formula
     is a FormulaError and a proposition outside the graph's universe a
     GraphError here, before any engine runs."""
-    idx = index(well_name(parse(formula_text)))
-    if not idx.is_sentence:
-        raise FormulaError("a sentence (no free variables) is required")
+    idx = sentence(formula_text)
     G = load_graph(graph_path)
-    for p in sorted(idx.step.props):
+    for p in sorted(idx.props):
         G.prop_mask(p)  # raises GraphError outside the universe
     return idx, G
 
@@ -85,7 +83,7 @@ def _run_engine(idx, G, engine, max_steps=None):
         cfg = x.config
         return cfg.R[cfg.idx.root], cfg.k, steps
     if engine == "gnn":
-        out, iters, _ = run_gnn(compile_formula(phi, props=G.props), G, max_steps=max_steps)
+        out, iters, _ = run_gnn(compile_formula(idx, props=G.props), G, max_steps=max_steps)
         return mask_of(n for n, bit in enumerate(out) if bit), None, iters
     raise ValueError(f"unknown engine {engine!r}")
 
@@ -126,7 +124,7 @@ def main():
 @click.argument("formula")
 @click.argument("graph", type=click.Path())
 @click.option("--engine", type=click.Choice(ENGINES), default="oracle")
-@click.option("--max-steps", type=int, default=None)
+@click.option("--max-steps", type=click.IntRange(min=0), default=None)
 @click.option("--json", "pretty", is_flag=True, help="pretty-print the JSON report")
 def check(formula, graph, engine, max_steps, pretty):
     """Evaluate FORMULA on GRAPH with the chosen engine."""
@@ -144,7 +142,7 @@ def check(formula, graph, engine, max_steps, pretty):
 def compile_cmd(formula, out, props):
     """Compile FORMULA to a GNN model file."""
     universe = props.split(",") if props else None
-    gnn = compile_formula(well_name(parse(formula)), props=universe)
+    gnn = compile_formula(formula, props=universe)
     try:
         save_gnn(gnn, out)
     except OSError as e:
@@ -155,37 +153,37 @@ def compile_cmd(formula, out, props):
 @main.command()
 @click.argument("model", type=click.Path())
 @click.argument("graph", type=click.Path())
-@click.option("--max-steps", type=int, default=None)
+@click.option("--max-steps", type=click.IntRange(min=0), default=None)
 @click.option("--json", "pretty", is_flag=True)
 def run(model, graph, max_steps, pretty):
     """Run a saved GNN model on GRAPH."""
     try:
         gnn = load_gnn(model)
-    except (OSError, GnnError, FormulaError) as e:
+    except (OSError, GnnError) as e:
         _fail(EXIT_PARSE, f"cannot load model: {e}")
     G = load_graph(graph)
     if tuple(G.props) != gnn.props:
         _fail(EXIT_GRAPH, f"graph universe {list(G.props)} is not the model's {list(gnn.props)}")
     t0 = time.perf_counter()
     out, iters, _ = run_gnn(gnn, G, max_steps=max_steps)
-    phi = well_name(parse(gnn.formula_text))
-    mask = mask_of(n for n, bit in enumerate(out) if bit)
+    phi, mask = gnn.idx.root_formula, mask_of(n for n, bit in enumerate(out) if bit)
     _emit(_report(phi, G, graph, "gnn", mask, None, iters, time.perf_counter() - t0), pretty)
 
 
 @main.command()
 @click.argument("formula", required=False)
 @click.argument("graph", type=click.Path(), required=False)
-@click.option("--trials", type=int, default=None, help="compare on random instances instead")
+@click.option("--trials", type=click.IntRange(min=0), default=None,
+              help="compare on random instances instead")
 @click.option("--seed", type=int, default=0)
-@click.option("--max-steps", type=int, default=None)
+@click.option("--max-steps", type=click.IntRange(min=0), default=None)
 def compare(formula, graph, trials, seed, max_steps):
     """Run every engine and report agreement."""
     instances = []
     if trials is not None:
         rng = random.Random(seed)
         for _ in range(trials):
-            instances.append((index(random_formula(rng)), random_graph(rng)))
+            instances.append((sentence(random_formula(rng)), random_graph(rng)))
     else:
         if formula is None or graph is None:
             _fail(EXIT_PARSE, "compare needs FORMULA and GRAPH, or --trials")
@@ -235,7 +233,7 @@ def _summary(kind, cfg, D, step):
 @click.argument("formula")
 @click.argument("graph", type=click.Path())
 @click.option("--engine", type=click.Choice(("counting", "extended", "gnn")), default="counting")
-@click.option("--max-steps", type=int, default=None)
+@click.option("--max-steps", type=click.IntRange(min=0), default=None)
 def trace(formula, graph, engine, max_steps):
     """Stream one JSON line per step of the chosen engine; the gnn engine's
     lines come after its run."""
@@ -251,7 +249,7 @@ def trace(formula, graph, engine, max_steps):
         run_extended(idx, G, on_config=lambda kind, x: echo(kind, x.config, x.D),
                      max_steps=max_steps)
     else:  # the snapshots of a whole run, decoded after it
-        gnn = compile_formula(idx.root_formula, props=G.props)
+        gnn = compile_formula(idx, props=G.props)
         for vecs in run_gnn(gnn, G, max_steps=max_steps, want_trace=True)[2]:
             if G.n:
                 x = decode(vecs, gnn.layout, gnn.idx, G)

@@ -15,8 +15,8 @@ The extended system threads a residual set D of variables whose counters
 are being counted back down to zero one step at a time; this is the form
 a ReLU network can simulate (counters only ever change by +-1).
 
-Steps run from the index's step program (`SubformulaIndex.step`): one
-opcode per position with its operands resolved, child masks for the
+Steps run from the subformula index, built in one pass over the formula:
+one opcode per position with its operands resolved, child masks for the
 validity test, and variable sets as masks over fixpoint indices, among
 them the variables each tick resets.  Graded clauses count on the graph
 (`LabeledGraph.at_least` and `all_but`).
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Formula, FormulaError, SubformulaIndex, index, well_name
+from .formula import SubformulaIndex, index, sentence  # noqa: F401  the bench traces `index`
 from .graph import LabeledGraph
 from .semantics import Evaluator
 
@@ -73,7 +73,7 @@ def initial_configuration(idx: SubformulaIndex, G: LabeledGraph, k: int) -> Conf
         G=G,
         k=k,
         C=(0,) * n_fp,
-        V=tuple(0 if idx.is_mu[p] else G.full_mask for p in idx.fp_positions),
+        V=tuple(G.full_mask if idx.nu >> i & 1 else 0 for i in range(n_fp)),
         R=(0,) * idx.n,
         F=0,
         S=(0,) * idx.n,
@@ -93,7 +93,7 @@ def trans1(cfg: Configuration) -> Configuration:
     # R' is one synchronous update reading only the old maps; composite
     # clauses therefore take several type-1 passes to propagate upward
     R2, S2, F2 = [], [], 0
-    for op, a, b, bit, sub in cfg.idx.step.ops:
+    for op, a, b, bit, sub in cfg.idx.ops:
         if op == "Or":
             r, s = R[a] | R[b], S[a] & S[b] & full
         elif op == "And":
@@ -125,13 +125,13 @@ def trans1(cfg: Configuration) -> Configuration:
 
 def _ticks_reset(cfg: Configuration) -> tuple[int, int]:
     """(ticking fixpoints, reset variables) as masks over fixpoint indices."""
-    step = cfg.idx.step
+    idx = cfg.idx
     F, C, top = cfg.F, cfg.C, cfg.k - 1
     ticks = reset = 0
-    for fi, (sub, tfp) in enumerate(step.binders):
+    for fi, (sub, tfp) in enumerate(idx.binders):
         if F & sub == sub and C[fi] < top and all(C[j] == top for j in tfp):
             ticks |= 1 << fi
-            reset |= step.resets[fi]
+            reset |= idx.resets[fi]
     return ticks, reset
 
 
@@ -154,10 +154,10 @@ def _trans2(cfg: Configuration, keep_dep_counters: bool):
         elif dep >> fi & 1:
             if not keep_dep_counters:
                 C2[fi] = 0
-            V2[fi] = full if idx.step.nu >> fi & 1 else 0
+            V2[fi] = full if idx.nu >> fi & 1 else 0
             T2[fi] = full
     F2 = cfg.F
-    for bit, free in idx.step.open:
+    for bit, free in idx.open:
         if free & reset:
             F2 &= ~bit
     cfg2 = Configuration(idx, cfg.G, cfg.k, tuple(C2), tuple(V2), cfg.R, F2, cfg.S, tuple(T2))
@@ -244,7 +244,7 @@ def check_coherent(cfg: Configuration, ev: Evaluator | None = None) -> str | Non
             return f"consistency: R at position {p} is {cfg.R[p]:b}, expected {expect:b}"
         if not all(cfg.F >> c & 1 for c in idx.sub[p]):
             return f"consistency: position {p} valid but a direct subformula is not"
-        if idx.is_fp[p] and cfg.C[idx.fp_index[p]] != k - 1:
+        if idx.ops[p][0] in ("Mu", "Nu") and cfg.C[idx.ops[p][2]] != k - 1:
             return f"consistency: valid fixpoint at position {p} has counter < k-1"
 
     for p, f in enumerate(idx.formulas):
@@ -271,20 +271,13 @@ def safeguard(idx: SubformulaIndex, G: LabeledGraph) -> int:
     return 16 * (idx.n + 2) * (G.n + 2) ** (idx.n_fp + 2)
 
 
-def _prepare(phi: Formula) -> SubformulaIndex:
-    idx = phi if isinstance(phi, SubformulaIndex) else index(well_name(phi))
-    if not idx.is_sentence:
-        raise FormulaError("a sentence (no free variables) is required")
-    return idx
-
-
 def run_counting(phi, G: LabeledGraph, on_config=None, max_steps: int | None = None):
     """Iterate 3;1;2 from bound 1 until complete and stable.
 
     on_config, when given, is called as on_config(kind, cfg) after every
     individual transition ('t3', 't1', 't2').
     """
-    idx = _prepare(phi)
+    idx = sentence(phi)
     limit = max_steps if max_steps is not None else safeguard(idx, G)
     cfg = initial_configuration(idx, G, 1)
     if on_config:
@@ -308,7 +301,7 @@ def run_counting(phi, G: LabeledGraph, on_config=None, max_steps: int | None = N
 
 def run_extended(phi, G: LabeledGraph, on_config=None, max_steps: int | None = None):
     """Iterate the extended step until complete, stable, and D empty."""
-    idx = _prepare(phi)
+    idx = sentence(phi)
     limit = max_steps if max_steps is not None else safeguard(idx, G)
     x = ExtendedConfiguration(initial_configuration(idx, G, 1), frozenset())
     if on_config:

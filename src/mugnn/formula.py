@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 MAX_GRADE = 2**31 - 1
 MAX_DEPTH = 128  # syntax-tree levels `parse` accepts
@@ -350,83 +349,116 @@ def is_well_named(phi: Formula) -> bool:
 
 
 class SubformulaIndex:
-    """Canonical ordering and cross-references for all distinct subformulas.
+    """All distinct subformulas of a well-named formula, compiled for the
+    counting step (`mugnn.counting`) and the compiler (`mugnn.gnn`).
 
     Order is post-order, left to right, duplicates dropped keeping the first
     occurrence; children therefore always precede their parents, and the root
-    is last.  Fixpoints and their bound variables are in 1:1 correspondence
-    (well-naming), indexed identically.
+    is last.  Fixpoint i is the i-th fixpoint in that order and binds variable
+    i; a free variable of an open formula is numbered after the fixpoints.
+    Variable sets are masks over those numbers.
+
+    ops[p] is (clause, a, b, 1 << p, mask of p's direct subformulas): clause
+    is the name of the formula's class, and a, b are the name (Prop, NegProp),
+    the variable's number (Var), the operand positions (And, Or), the body
+    position and grade (AtLeast, AllBut), or the body position and fixpoint
+    index (Mu, Nu).  Fixpoint i has binders[i] = (mask of its direct
+    subformulas, its strict fixpoint subformulas) and resets[i], the
+    variables a tick of it resets: i itself, and every binder that mentions
+    a resetting variable free.  `open` is (1 << p, free variables) for every
+    position with some, `nu` the nu fixpoints and `props` the propositions.
     """
 
     def __init__(self, phi: Formula):
         if not is_well_named(phi):
             raise FormulaError("index requires a well-named formula")
         self.root_formula = phi
-
         order: list[Formula] = []
         pos: dict[Formula, int] = {}
+        ops, sub, fps, props, nu = [], [], [], set(), 0
+        # Bottom-up masks: per position its free variables, as bits numbered
+        # in order of first sight (renumbered below), and the fixpoints at or
+        # below it; per fixpoint the fixpoints strictly below it.
+        free, below, strict, first_seen = [], [], [], {}
 
-        def visit(f: Formula) -> None:
-            for c in children(f):
-                visit(c)
-            if f not in pos:
-                pos[f] = len(order)
-                order.append(f)
+        def visit(f: Formula) -> int:
+            nonlocal nu
+            kids = [visit(c) for c in children(f)]
+            p = pos.setdefault(f, len(order))  # one hash of f, which walks its subtree
+            if p < len(order):
+                return p
+            order.append(f)
+            m = fv = fb = 0
+            for c in kids:
+                m |= 1 << c
+                fv |= free[c]
+                fb |= below[c]
+            if isinstance(f, (Prop, NegProp)):
+                a, b = f.name, 0
+                props.add(f.name)
+            elif isinstance(f, Var):
+                a, b = f.name, 0  # numbered once the fixpoints are known
+                fv = 1 << first_seen.setdefault(f.name, len(first_seen))
+            elif isinstance(f, (And, Or)):
+                a, b = kids
+            elif isinstance(f, (AtLeast, AllBut)):
+                a, b = kids[0], f.grade
+            else:
+                a, b = kids[0], len(fps)
+                fv &= ~(1 << first_seen.setdefault(f.var, len(first_seen)))
+                strict.append(fb)
+                fb |= 1 << b
+                if isinstance(f, Nu):
+                    nu |= 1 << b
+                fps.append(p)
+            ops.append((type(f).__name__, a, b, 1 << p, m))
+            sub.append(tuple(sorted(set(kids))))
+            free.append(fv)
+            below.append(fb)
+            return p
 
-        visit(phi)
+        self.root = visit(phi)
         self.formulas: tuple[Formula, ...] = tuple(order)
         self.pos = pos
-        self.root = pos[phi]
         self.n = len(order)
+        self.sub: tuple[tuple[int, ...], ...] = tuple(sub)
+        self.fp_positions: tuple[int, ...] = tuple(fps)
+        self.n_fp = len(fps)
+        self.var_names: tuple[str, ...] = tuple(order[p].var for p in fps)
+        self.body_pos: tuple[int, ...] = tuple(ops[p][1] for p in fps)
+        self.is_sentence = not free[self.root]
 
-        self.sub: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted({pos[c] for c in children(f)})) for f in order
+        number = {x: i for i, x in enumerate(self.var_names)}
+        bits = [1 << number.setdefault(x, len(number)) for x in first_seen]
+
+        def renumber(m: int) -> int:
+            return sum(bit for s, bit in enumerate(bits) if m >> s & 1)
+
+        self.ops = tuple((op, number[a], *rest) if op == "Var" else (op, a, *rest)
+                         for op, a, *rest in ops)
+        self.binders = tuple(
+            (ops[p][4], tuple(j for j in range(i) if s >> j & 1))
+            for i, (p, s) in enumerate(zip(fps, strict))
         )
-        self.free: tuple[frozenset[str], ...] = tuple(free_vars(f) for f in order)
-        self.is_fp: tuple[bool, ...] = tuple(is_fixpoint(f) for f in order)
-        self.is_mu: tuple[bool, ...] = tuple(isinstance(f, Mu) for f in order)
-
-        # fixpoints in canonical order; variable i is the one bound by fixpoint i
-        self.fp_positions: tuple[int, ...] = tuple(
-            p for p, f in enumerate(order) if is_fixpoint(f)
-        )
-        self.fp_index: dict[int, int] = {p: i for i, p in enumerate(self.fp_positions)}
-        self.n_fp = len(self.fp_positions)
-        self.var_names: tuple[str, ...] = tuple(order[p].var for p in self.fp_positions)
-        self.var_index: dict[str, int] = {x: i for i, x in enumerate(self.var_names)}
-        if len(self.var_index) != self.n_fp:
-            raise FormulaError("duplicate binder")  # unreachable once well-named
-        self.body_pos: tuple[int, ...] = tuple(
-            pos[order[p].body] for p in self.fp_positions
-        )
-
-        # strict fixpoint subformulas, as fixpoint indices, per formula
-        tfp: list[frozenset[int]] = []
-        for p, f in enumerate(order):
-            acc: set[int] = set()
-            for c in self.sub[p]:
-                acc |= tfp[c]
-                if self.is_fp[c]:
-                    acc.add(self.fp_index[c])
-            tfp.append(frozenset(acc))
-        self.tfp: tuple[frozenset[int], ...] = tuple(tfp)
-
-    @cached_property
-    def step(self) -> StepProgram:
-        """This index compiled for the counting step, built on first use."""
-        return StepProgram(self)
-
-    @property
-    def is_sentence(self) -> bool:
-        return not self.free[self.root]
+        self.open = tuple((1 << p, renumber(m)) for p, m in enumerate(free) if m)
+        # A binder that mentions variable i free is nested in binder i, so its
+        # index is smaller: in ascending order its resets are already known.
+        fp_free = [renumber(free[p]) for p in fps]
+        resets = []
+        for i in range(self.n_fp):
+            m = 1 << i
+            for j in range(i):
+                if fp_free[j] >> i & 1:
+                    m |= resets[j]
+            resets.append(m)
+        self.resets = tuple(resets)
+        self.nu = nu
+        self.props = frozenset(props)
 
     # construction is deterministic in the root formula, so two indexes for
     # the same formula are interchangeable
     def __eq__(self, other):
-        return (
-            isinstance(other, SubformulaIndex)
-            and self.root_formula == other.root_formula
-        )
+        return isinstance(other, SubformulaIndex) and self.root_formula == other.root_formula
 
     def __hash__(self):
         return hash(self.root_formula)
@@ -436,50 +468,13 @@ def index(phi: Formula) -> SubformulaIndex:
     return SubformulaIndex(phi)
 
 
-class StepProgram:
-    """An index compiled for the counting step (`mugnn.counting`).
-
-    ops[p] is (clause, a, b, 1 << p, mask of p's direct subformulas): clause
-    is the name of the formula's class, and a, b are the name (Prop, NegProp), the
-    variable's fixpoint index (Var), the operand positions (And, Or), the
-    body position and grade (AtLeast, AllBut), or the body position and
-    fixpoint index (Mu, Nu).  Fixpoint i has binders[i] = (mask of its direct
-    subformulas, its strict fixpoint subformulas) and resets[i], the
-    variables a tick of it resets: i itself, and every binder that mentions
-    a resetting variable free.  `open` is (1 << p, free variables) for every
-    position with some, `nu` the nu fixpoints and `props` the propositions.
-    Variable sets are masks over fixpoint indices.
-    """
-
-    def __init__(self, idx: SubformulaIndex):
-        pos, fix = idx.pos, idx.var_index
-        free = [sum(1 << fix[x] for x in names) for names in idx.free]
-        ops = []
-        for p, f in enumerate(idx.formulas):
-            if isinstance(f, (Prop, NegProp)):
-                a, b = f.name, 0
-            elif isinstance(f, Var):
-                a, b = fix[f.name], 0
-            elif isinstance(f, (And, Or)):
-                a, b = pos[f.lhs], pos[f.rhs]
-            elif isinstance(f, (AtLeast, AllBut)):
-                a, b = pos[f.body], f.grade
-            else:
-                a, b = pos[f.body], fix[f.var]
-            ops.append((type(f).__name__, a, b, 1 << p, sum(1 << c for c in idx.sub[p])))
-        self.ops = tuple(ops)
-        fps = idx.fp_positions
-        self.binders = tuple((ops[p][4], tuple(sorted(idx.tfp[p]))) for p in fps)
-        # A binder that mentions variable i free is nested in binder i, so its
-        # index is smaller: in ascending order its resets are already known.
-        resets = []
-        for i in range(len(fps)):
-            m = 1 << i
-            for j, p in enumerate(fps[:i]):
-                if free[p] >> i & 1:
-                    m |= resets[j]
-            resets.append(m)
-        self.resets = tuple(resets)
-        self.open = tuple((1 << p, m) for p, m in enumerate(free) if m)
-        self.nu = sum(1 << i for i, p in enumerate(fps) if not idx.is_mu[p])
-        self.props = frozenset(a for op, a, *_ in ops if op == "Prop" or op == "NegProp")
+def sentence(phi: str | Formula | SubformulaIndex) -> SubformulaIndex:
+    """The index of a sentence given as text, a formula or an index: text is
+    parsed, a formula well-named and indexed, and an index kept as it is.
+    Raises FormulaError on an open formula."""
+    idx = phi
+    if not isinstance(idx, SubformulaIndex):
+        idx = index(well_name(parse(phi) if isinstance(phi, str) else phi))
+    if not idx.is_sentence:
+        raise FormulaError("a sentence (no free variables) is required")
+    return idx

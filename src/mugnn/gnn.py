@@ -28,15 +28,8 @@ from .counting import (
     initial_configuration,
     safeguard,
 )
-from .formula import (
-    Formula,
-    FormulaError,
-    SubformulaIndex,
-    index,
-    parse,
-    to_text,
-    well_name,
-)
+from .formula import Formula, FormulaError, SubformulaIndex, sentence, to_text
+from .formula import index, parse  # noqa: F401  names the benchmark's traced run patches
 from .graph import LabeledGraph
 from .rfnn import CircuitBuilder, Rfnn
 
@@ -201,12 +194,18 @@ class RecurrentGnn:
     idx: SubformulaIndex
     layout: FeatureLayout
     comb: Rfnn
-    hlt_index: int
-    out_index: int
 
     @property
     def dim(self) -> int:
         return self.layout.dim
+
+    @property
+    def hlt_index(self) -> int:
+        return self.layout.halt_coord
+
+    @property
+    def out_index(self) -> int:
+        return self.layout.r_coord[self.idx.root]
 
     @property
     def props(self) -> tuple[str, ...]:
@@ -216,31 +215,24 @@ class RecurrentGnn:
     def program(self) -> LevelProgram:
         """The combine network compiled for runs: built on first use and then
         kept with the model.  Raises GnnError if the network does not read
-        `2 * dim` inputs and write `dim` outputs, or an index is outside them."""
+        `2 * dim` inputs and write `dim` outputs."""
         dim = self.dim
         if self.comb.input_width != 2 * dim:
             raise GnnError(f"combine network reads {self.comb.input_width} inputs, not {2 * dim}")
         prog = LevelProgram(self.comb)
         if prog.out_width != dim:
             raise GnnError(f"combine network outputs {prog.out_width} values, not {dim}")
-        if not (0 <= self.hlt_index < dim and 0 <= self.out_index < dim):
-            raise GnnError("halt or output index outside the feature vector")
         return prog
 
 
-def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
-    """One extended step (`etrans_step`) as a ReLU layer, emitted from the
-    index's step program stage by stage."""
-    if isinstance(phi, str):
-        phi = parse(phi)
-    phi = well_name(phi)
-    idx = index(phi)
-    if not idx.is_sentence:
-        raise FormulaError("only sentences can be compiled")
-    step = idx.step
+def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> RecurrentGnn:
+    """One extended step (`etrans_step`) of a sentence as a ReLU layer,
+    emitted stage by stage from the clause table (`ops`) of its index, the
+    one `trans1` reads.  Takes what `sentence` takes."""
+    idx = sentence(phi)
     if props is None:
-        props = step.props
-    elif not step.props <= set(props):
+        props = idx.props
+    elif not idx.props <= set(props):
         raise GnnError("proposition universe must cover the formula's propositions")
     lay = make_layout(idx, props)
 
@@ -270,7 +262,7 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
         return b.relu(old - g1 - g3) + b.relu(new + g1 - 1)
 
     Rn, Fn, Sn = [], [], []
-    for p, (op, a, a2, _, _) in enumerate(step.ops):
+    for p, (op, a, a2, _, _) in enumerate(idx.ops):
         f = b.band(*(F[c] for c in idx.sub[p]))
         s = b.band(*(S[c] for c in idx.sub[p]))
         if op == "Prop":
@@ -295,7 +287,7 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
         Fn.append(f)
         Sn.append(s)
     R1, F1, S1 = ([gated(o, n) for o, n in zip(old, new)] for old, new in ((R, Rn), (F, Fn), (S, Sn)))
-    V1 = [b.clip(v + g3) if step.nu >> i & 1 else b.relu(v - g3) for i, v in enumerate(V)]
+    V1 = [b.clip(v + g3) if idx.nu >> i & 1 else b.relu(v - g3) for i, v in enumerate(V)]
     T1, D1 = ([b.clip(z + g3) for z in field] for field in (T, D))
 
     # ---- stage 2: the ticks, then each variable's reset as one OR over the
@@ -303,11 +295,11 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
     g2 = 1 - b.bor(*D1)
     tick = [
         b.band(F1[body], b.clip(k1 - C[i] - 1), *(b.clip(C[j] - k1 + 2) for j in tfp))
-        for i, (body, (_, tfp)) in enumerate(zip(idx.body_pos, step.binders))
+        for i, (body, (_, tfp)) in enumerate(zip(idx.body_pos, idx.binders))
     ]
 
     def reset(variables: int):
-        return b.bor(*(t for t, m in zip(tick, step.resets) if m & variables))
+        return b.bor(*(t for t, m in zip(tick, idx.resets) if m & variables))
 
     # a tick resets its own variable, so dep = reset - tick is a bit
     dep = [reset(1 << i) - t for i, t in enumerate(tick)]
@@ -316,11 +308,11 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
     V2, T2 = [], []
     for i, body in enumerate(idx.body_pos):
         V2.append(b.relu(V1[i] - ga[i] - gb[i]) + b.relu(R1[body] + ga[i] - 1)
-                  + (gb[i] if step.nu >> i & 1 else 0))
+                  + (gb[i] if idx.nu >> i & 1 else 0))
         T2.append(b.relu(T1[i] - ga[i] - gb[i]) + b.relu(b.band(T1[i], S1[body]) + ga[i] - 1)
                   + gb[i])
     F2 = list(F1)
-    for bit, free in step.open:
+    for bit, free in idx.open:
         p = bit.bit_length() - 1
         F2[p] = b.relu(F1[p] - b.band(g2, reset(free)))
     D2 = [b.relu(d - g2) + b.relu(e + g2 - 1) for d, e in zip(D1, dep)]
@@ -345,14 +337,7 @@ def compile_formula(phi: Formula | str, props=None) -> RecurrentGnn:
         if max(map(abs, chain(bias, (c for row in rows for _, c in row))), default=0) > MAX_WEIGHT:
             raise GnnError("weight magnitude bound exceeded")
 
-    return RecurrentGnn(
-        formula_text=to_text(phi),
-        idx=idx,
-        layout=lay,
-        comb=comb,
-        hlt_index=lay.halt_coord,
-        out_index=lay.r_coord[root],
-    )
+    return RecurrentGnn(formula_text=to_text(idx.root_formula), idx=idx, layout=lay, comb=comb)
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +550,9 @@ def _is_ints(values) -> bool:
 
 
 def gnn_from_json(data) -> RecurrentGnn:
-    """Rebuild a model from `gnn_to_json` output.  Raises GnnError (or
-    FormulaError for the formula text) if the file is malformed, of another
-    format, or its layout, width or indices do not belong to its formula."""
+    """Rebuild a model from `gnn_to_json` output.  Raises GnnError if the
+    file is malformed, of another format, its formula is not the text of a
+    sentence, or its layout, width or indices do not belong to it."""
     if not isinstance(data, dict):
         raise GnnError("model file is not a JSON object")
     if data.get("format") != MODEL_FORMAT:
@@ -578,9 +563,10 @@ def gnn_from_json(data) -> RecurrentGnn:
     text = data.get("formula")
     if not isinstance(text, str):
         raise GnnError('"formula" is not a string')
-    idx = index(well_name(parse(text)))
-    if not idx.is_sentence:
-        raise GnnError("model formula is not a sentence")
+    try:
+        idx = sentence(text)
+    except FormulaError as e:
+        raise GnnError(f"model formula: {e}") from None
     lay = data.get("layout")
     if not isinstance(lay, dict):
         raise GnnError('"layout" is not an object')
@@ -590,9 +576,6 @@ def gnn_from_json(data) -> RecurrentGnn:
     layout = make_layout(idx, props)
     if layout_to_json(layout) != lay or data.get("dim") != layout.dim:
         raise GnnError("layout does not match the formula")
-    out_index = layout.r_coord[idx.root]
-    if data.get("hlt_index") != layout.halt_coord or data.get("out_index") != out_index:
-        raise GnnError("halt or output index does not match the formula")
     if not isinstance(data.get("layer"), list) or not data["layer"]:
         raise GnnError('"layer" is not a non-empty list')
     layers = []
@@ -622,14 +605,10 @@ def gnn_from_json(data) -> RecurrentGnn:
         first += len(W)
     if len(W) != layout.dim:
         raise GnnError(f"combine network outputs {len(W)} values, not {layout.dim}")
-    return RecurrentGnn(
-        formula_text=text,
-        idx=idx,
-        layout=layout,
-        comb=Rfnn(tuple(layers), 2 * layout.dim),
-        hlt_index=layout.halt_coord,
-        out_index=out_index,
-    )
+    gnn = RecurrentGnn(text, idx, layout, Rfnn(tuple(layers), 2 * layout.dim))
+    if (data.get("hlt_index"), data.get("out_index")) != (gnn.hlt_index, gnn.out_index):
+        raise GnnError("halt or output index does not match the formula")
+    return gnn
 
 
 def save_gnn(gnn: RecurrentGnn, path) -> None:

@@ -6,6 +6,10 @@ bisimilarity by searching bijections, and the counting step is restated
 clause by clause, so agreement is evidence rather than tautology.  Usable
 on small graphs only.
 
+The reference step reads the index's order of subformulas and fixpoints,
+but derives every fact about a subformula from its tree (`tree_facts`), not
+from the masks the library's step runs on.
+
 The last section holds helpers over the library's own code that only the
 tests call: graded bisimilarity by color refinement, writing a graph file,
 and the type-2 step's tick and reset sets as index sets.
@@ -13,7 +17,9 @@ and the type-2 step's tick and reset sets as index sets.
 
 import json
 from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 from mugnn.bisim import color_refinement
 from mugnn.counting import ExtendedConfiguration, _indices, _ticks_reset, initial_configuration
@@ -27,6 +33,8 @@ from mugnn.formula import (
     Or,
     Prop,
     Var,
+    children,
+    free_vars,
 )
 from mugnn.graph import GraphError, disjoint_union, graph_to_json
 
@@ -91,10 +99,43 @@ def to_mask(nodes):
 # step.
 
 
+@lru_cache(maxsize=256)
+def tree_facts(idx):
+    """Per position of `idx.formulas`, read off its tree: its free variables
+    by name (`free`), whether it is a fixpoint (`is_fp`) and a mu (`is_mu`),
+    and the fixpoint indices of its strict fixpoint subformulas (`tfp`).
+    Also the fixpoint index of each fixpoint position (`fp_index`) and of
+    each bound variable (`var_index`), fixpoints numbered in index order."""
+    forms = idx.formulas
+    is_fp = tuple(isinstance(f, (Mu, Nu)) for f in forms)
+    fps = [p for p, fp in enumerate(is_fp) if fp]
+    fp_index = {p: i for i, p in enumerate(fps)}
+    at = {f: p for p, f in enumerate(forms)}
+
+    def strict(f):
+        below, stack = set(), list(children(f))
+        while stack:
+            g = stack.pop()
+            if isinstance(g, (Mu, Nu)):
+                below.add(fp_index[at[g]])
+            stack.extend(children(g))
+        return frozenset(below)
+
+    return SimpleNamespace(
+        free=tuple(free_vars(f) for f in forms),
+        is_fp=is_fp,
+        is_mu=tuple(isinstance(f, Mu) for f in forms),
+        tfp=tuple(map(strict, forms)),
+        fp_index=fp_index,
+        var_index={forms[p].var: i for i, p in enumerate(fps)},
+    )
+
+
 def reference_trans1(cfg):
     idx, G = cfg.idx, cfg.G
     full = G.full_mask
     k = cfg.k
+    t = tree_facts(idx)
 
     R2 = []
     for p, f in enumerate(idx.formulas):
@@ -103,7 +144,7 @@ def reference_trans1(cfg):
         elif isinstance(f, NegProp):
             r = full & ~G.prop_mask(f.name)
         elif isinstance(f, Var):
-            r = cfg.V[idx.var_index[f.name]]
+            r = cfg.V[t.var_index[f.name]]
         elif isinstance(f, And):
             r = cfg.R[idx.pos[f.lhs]] & cfg.R[idx.pos[f.rhs]]
         elif isinstance(f, Or):
@@ -129,14 +170,14 @@ def reference_trans1(cfg):
     F2 = 0
     for p in range(idx.n):
         if all(cfg.F >> c & 1 for c in idx.sub[p]):
-            if idx.is_fp[p] and cfg.C[idx.fp_index[p]] < k - 1:
+            if t.is_fp[p] and cfg.C[t.fp_index[p]] < k - 1:
                 continue
             F2 |= 1 << p
 
     S2 = []
     for p, f in enumerate(idx.formulas):
-        if idx.is_fp[p]:
-            fi = idx.fp_index[p]
+        if t.is_fp[p]:
+            fi = t.fp_index[p]
             b = idx.body_pos[fi]
             s = cfg.S[b] & cfg.T[fi] & ~(cfg.V[fi] ^ R2[b]) & full
         else:
@@ -151,13 +192,14 @@ def reference_trans1(cfg):
 def reference_ticks_reset_dep(cfg):
     idx = cfg.idx
     k = cfg.k
+    t = tree_facts(idx)
     ticks = set()
     for fi, p in enumerate(idx.fp_positions):
         if not all(cfg.F >> c & 1 for c in idx.sub[p]):
             continue
         if cfg.C[fi] >= k - 1:
             continue
-        if all(cfg.C[bj] == k - 1 for bj in idx.tfp[p]):
+        if all(cfg.C[bj] == k - 1 for bj in t.tfp[p]):
             ticks.add(fi)
 
     reset = set(ticks)
@@ -167,7 +209,7 @@ def reference_ticks_reset_dep(cfg):
         for vi, p in enumerate(idx.fp_positions):
             if vi in reset:
                 continue
-            if idx.free[p] & {idx.var_names[r] for r in reset}:
+            if t.free[p] & {idx.var_names[r] for r in reset}:
                 reset.add(vi)
                 changed = True
     dep = reset - ticks
@@ -178,6 +220,7 @@ def reference_trans2(cfg, keep_dep_counters=False):
     """The type-2 step; with keep_dep_counters, the extended system's
     partial step, which also returns the variables left to count down."""
     idx, G = cfg.idx, cfg.G
+    t = tree_facts(idx)
     ticks, reset, dep = reference_ticks_reset_dep(cfg)
     if not ticks:
         return cfg, frozenset()
@@ -192,12 +235,12 @@ def reference_trans2(cfg, keep_dep_counters=False):
     for fi in dep:
         if not keep_dep_counters:
             C2[fi] = 0
-        V2[fi] = 0 if idx.is_mu[idx.fp_positions[fi]] else G.full_mask
+        V2[fi] = 0 if t.is_mu[idx.fp_positions[fi]] else G.full_mask
         T2[fi] = G.full_mask
     reset_names = {idx.var_names[r] for r in reset}
     F2 = cfg.F
     for p in range(idx.n):
-        if F2 >> p & 1 and idx.free[p] & reset_names:
+        if F2 >> p & 1 and t.free[p] & reset_names:
             F2 &= ~(1 << p)
     cfg2 = replace(cfg, C=tuple(C2), V=tuple(V2), F=F2, T=tuple(T2))
     return cfg2, dep

@@ -125,6 +125,34 @@ def test_check_safeguard_exit_4(runner, g1_path):
     assert res.exit_code == 4
 
 
+@pytest.mark.parametrize("engine", ["counting", "gnn"])
+def test_check_max_steps_zero_is_a_safeguard_trip(runner, g1_path, engine):
+    res = invoke(runner, "check", REACH, g1_path, "--engine", engine, "--max-steps", "0")
+    assert res.exit_code == 4
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", REACH, "G", "--engine", "counting", "--max-steps", "-1"],
+        ["check", REACH, "G", "--engine", "gnn", "--max-steps", "-1"],
+        ["run", "M", "G", "--max-steps", "-1"],
+        ["compare", REACH, "G", "--max-steps", "-1"],
+        ["compare", "--trials", "-1"],
+        ["trace", REACH, "G", "--max-steps", "-1"],
+    ],
+    ids=["check-counting", "check-gnn", "run", "compare", "compare-trials", "trace"],
+)
+def test_negative_budget_is_a_usage_error(runner, tmp_path, g1_path, args):
+    # a usage error (exit 2), not a safeguard trip (exit 4)
+    model = str(tmp_path / "m.json")
+    invoke(runner, "compile", REACH, model, "--props", "p,q")
+    args = [{"G": g1_path, "M": model}.get(a, a) for a in args]
+    res = invoke(runner, *args)
+    assert res.exit_code == 2
+    assert "not in the range x>=0" in res.output
+
+
 def test_compile_then_run_matches_check(runner, tmp_path, g1_path):
     model = str(tmp_path / "model.json")
     res = invoke(runner, "compile", REACH, model, "--props", "p,q")

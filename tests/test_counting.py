@@ -33,6 +33,7 @@ from oracles import (
     reference_trans2,
     reference_trans3,
     ticks_reset_dep,
+    tree_facts,
 )
 from test_graph import sparse_graph
 
@@ -75,8 +76,9 @@ def test_reset_closure_nested(g1):
     # variable resets the inner one follows by closure
     idx = idx_of("mu Y.(p | <>(mu X.(Y | <>X)))")
     cfg = initial_configuration(idx, g1, 3)
-    yi = idx.var_index["Y"]
-    xi = idx.var_index["X"]
+    yi = idx.var_names.index("Y")
+    xi = idx.var_names.index("X")
+    free = tree_facts(idx).free
     # drive to a state where Y ticks: fabricate validity for Y's body
     cfg = trans1(trans1(trans1(trans1(cfg))))
     ticks, reset, dep = ticks_reset_dep(cfg)
@@ -87,7 +89,7 @@ def test_reset_closure_nested(g1):
     naive = set(ticks)
     for _ in range(idx.n_fp + 1):
         for vi in range(idx.n_fp):
-            if idx.free[idx.fp_positions[vi]] & {idx.var_names[r] for r in naive}:
+            if free[idx.fp_positions[vi]] & {idx.var_names[r] for r in naive}:
                 naive.add(vi)
     assert reset == frozenset(naive)
 
@@ -101,9 +103,10 @@ def test_tick_exclusivity():
         def on_config(kind, cfg):
             ticks, _, _ = ticks_reset_dep(cfg)
             for fi in ticks:
-                assert not (idx.tfp[idx.fp_positions[fi]] & ticks)
+                assert not (tfp[idx.fp_positions[fi]] & ticks)
 
         idx = index(phi)
+        tfp = tree_facts(idx).tfp
         run_counting(phi, G, on_config=on_config)
 
 
@@ -348,8 +351,8 @@ def test_step_matches_reference():
         prev.clear()
         run_extended(phi, G, on_config=on_extended)
         idx = index(phi)
-        seen["nested"] += any(tfp for _, tfp in idx.step.binders)
-        seen["mu and nu"] += 0 < sum(idx.is_mu) < idx.n_fp
+        seen["nested"] += any(tfp for _, tfp in idx.binders)
+        seen["mu and nu"] += 0 < idx.nu.bit_count() < idx.n_fp
         seen["grade 3"] += "3" in to_text(phi)
         seen["sink"] += () in G.adj
         seen["self-loop"] += any(n in out for n, out in enumerate(G.adj))

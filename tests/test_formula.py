@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,14 +18,18 @@ from mugnn.formula import (
     Prop,
     Var,
     ast_size,
+    children,
     free_vars,
     index,
     is_well_named,
     parse,
+    sentence,
     to_text,
     well_name,
 )
 from mugnn.gen import random_formula
+
+from oracles import tree_facts
 
 
 def test_parse_reach():
@@ -140,7 +145,7 @@ def test_index_single_binder(phi_reach):
     idx = index(phi_reach)
     assert idx.fp_positions == (idx.root,)
     assert idx.var_names == ("X",)
-    assert idx.step.resets == (1,)  # a tick of X resets X alone
+    assert idx.resets == (1,)  # a tick of X resets X alone
     assert idx.is_sentence
 
 
@@ -148,9 +153,9 @@ def test_step_resets_close_over_binders_that_mention_a_reset():
     # fixpoint indices are in post-order, inner binders first
     chain = index(parse("mu X1.(p | <>mu X2.(X1 | <>mu X3.(X2 | <>X3)))"))
     assert chain.var_names == ("X3", "X2", "X1")
-    assert chain.step.resets == (0b001, 0b011, 0b111)  # X3 resets with X1 through X2
+    assert chain.resets == (0b001, 0b011, 0b111)  # X3 resets with X1 through X2
     graded = index(parse("nu X.([2]X & mu Y.(q | <>Y))"))
-    assert graded.step.resets == (0b01, 0b10)  # Y's binder does not mention X
+    assert graded.resets == (0b01, 0b10)  # Y's binder does not mention X
 
 
 def test_index_requires_well_named():
@@ -175,6 +180,58 @@ def test_index_binder_bijection():
         assert len(set(idx.var_names)) == idx.n_fp
         for fi, p in enumerate(idx.fp_positions):
             assert idx.formulas[p].var == idx.var_names[fi]
+
+
+def _subtrees(f):
+    yield f
+    for c in children(f):
+        yield from _subtrees(c)
+
+
+def _unbind(f, var):
+    """f with the binder of `var` dropped, so that `var` occurs free."""
+    if isinstance(f, (Mu, Nu)) and f.var == var:
+        return _unbind(f.body, var)
+    if isinstance(f, (And, Or)):
+        return type(f)(_unbind(f.lhs, var), _unbind(f.rhs, var))
+    if isinstance(f, (AtLeast, AllBut, Mu, Nu)):
+        return replace(f, body=_unbind(f.body, var))
+    return f
+
+
+def test_one_pass_index_matches_the_trees():
+    # the masks of the index, against the same facts read off each subtree;
+    # a free variable is numbered after the fixpoints
+    rng = random.Random(5)
+    for trial in range(300):
+        phi = random_formula(rng, max_size=20, max_nesting=3)
+        used = sorted({f.name for f in _subtrees(phi) if isinstance(f, Var)})
+        if trial % 2 and used:
+            phi = _unbind(phi, rng.choice(used))
+        idx = index(phi)
+        t = tree_facts(idx)
+        forms, fps = idx.formulas, [p for p, fp in enumerate(t.is_fp) if fp]
+        assert len(free_vars(phi)) <= 1
+        number = {**t.var_index, **dict.fromkeys(free_vars(phi), len(fps))}
+
+        assert idx.is_sentence == (not free_vars(phi))
+        assert idx.open == tuple((1 << p, sum(1 << number[x] for x in free))
+                                 for p, free in enumerate(t.free) if free)
+        assert idx.binders == tuple(
+            (1 << forms.index(forms[p].body), tuple(sorted(t.tfp[p]))) for p in fps)
+        assert idx.nu == sum(1 << i for i, p in enumerate(fps) if not t.is_mu[p])
+        assert idx.props == {f.name for f in forms if isinstance(f, (Prop, NegProp))}
+
+
+def test_sentence_takes_text_a_formula_or_an_index():
+    text = "(mu X.<>X) | (mu X.p)"  # well-named on the way in
+    idx = sentence(text)
+    assert idx.root_formula == well_name(parse(text))
+    assert sentence(parse(text)) == idx
+    assert sentence(idx) is idx
+    for open_formula in ("p | X", parse("p | X"), index(parse("p | X"))):
+        with pytest.raises(FormulaError, match="no free variables"):
+            sentence(open_formula)
 
 
 def test_free_vars():

@@ -59,7 +59,7 @@ def test_encode_initial(g1, phi_reach):
         x = ExtendedConfiguration(initial_configuration(idx, G, 1), frozenset())
         vecs = encode(x, lay)
         assert run_gnn(gnn, G, want_trace=True)[2][0] == vecs
-        nu = [int(not idx.is_mu[p]) for p in idx.fp_positions]
+        nu = [idx.nu >> i & 1 for i in range(idx.n_fp)]
         for labels, v in zip(G.labels, vecs):
             assert [v[c] for c in lay.prop_coord] == [int(p in labels) for p in lay.props]
             assert [v[c] for c in lay.v_coord] == nu
