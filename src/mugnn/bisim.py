@@ -9,13 +9,12 @@ to multiset equality of refined neighbor colors on finite graphs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import LabeledGraph
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     colors: tuple[int, ...]
     rounds: int
 

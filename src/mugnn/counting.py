@@ -24,7 +24,7 @@ them the variables each tick resets.  Graded clauses count on the graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import SubformulaIndex, index, sentence  # noqa: F401  the bench traces `index`
 from .graph import LabeledGraph
@@ -35,8 +35,7 @@ class SafeguardExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     idx: SubformulaIndex
     G: LabeledGraph
     k: int
@@ -56,8 +55,7 @@ class Configuration:
         return self.S[self.idx.root] == self.G.full_mask
 
 
-@dataclass(frozen=True)
-class ExtendedConfiguration:
+class ExtendedConfiguration(NamedTuple):
     config: Configuration
     D: frozenset[int]       # variable indices awaiting counter rundown
 
@@ -169,8 +167,7 @@ def trans2(cfg: Configuration) -> Configuration:
 
 
 def partial_trans2(cfg: Configuration) -> ExtendedConfiguration:
-    cfg2, dep = _trans2(cfg, keep_dep_counters=True)
-    return ExtendedConfiguration(cfg2, dep)
+    return ExtendedConfiguration(*_trans2(cfg, keep_dep_counters=True))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +183,8 @@ def trans3(cfg: Configuration) -> Configuration:
 def partial_trans3(cfg: Configuration) -> ExtendedConfiguration:
     if not cfg.complete:
         return ExtendedConfiguration(cfg, frozenset())
-    f = initial_configuration(cfg.idx, cfg.G, cfg.k + 1)
-    kept = Configuration(f.idx, f.G, f.k, cfg.C, f.V, f.R, f.F, f.S, f.T)
-    return ExtendedConfiguration(kept, frozenset(range(cfg.idx.n_fp)))
+    fresh = initial_configuration(cfg.idx, cfg.G, cfg.k + 1)
+    return ExtendedConfiguration(fresh._replace(C=cfg.C), frozenset(range(cfg.idx.n_fp)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +194,11 @@ def partial_trans3(cfg: Configuration) -> ExtendedConfiguration:
 def etrans_step(x: ExtendedConfiguration) -> ExtendedConfiguration:
     cfg, D = x.config, x.D
     if not D and cfg.complete:
-        ext = partial_trans3(cfg)
-        cfg, D = ext.config, ext.D
+        cfg, D = partial_trans3(cfg)
     if not D:
         cfg = trans1(cfg)
     if not D:
-        ext = partial_trans2(cfg)
-        cfg, D = ext.config, ext.D
+        cfg, D = partial_trans2(cfg)
     if D:
         C2 = list(cfg.C)
         for vi in D:

@@ -9,7 +9,6 @@ compiler all share.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 MAX_GRADE = 2**31 - 1
 MAX_DEPTH = 128  # syntax-tree levels `parse` accepts
@@ -30,62 +29,74 @@ class ParseError(FormulaError):
 
 
 class Formula:
-    __slots__ = ()
+    """An immutable syntax-tree node, equal to a node of the same clause with equal
+    fields and hashed once, when built; a clause lists its fields in `__slots__`."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, values)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is type(self) and other._hash == self._hash
+            and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):  # rebuilt by the constructor: hashed by the reading process
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class NegProp(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class AtLeast(Formula):
     """Diamond with a grade: true at n when at least `grade` out-neighbors satisfy body."""
-
-    grade: int
-    body: Formula
+    __slots__ = ("grade", "body")
 
 
-@dataclass(frozen=True)
 class AllBut(Formula):
     """Box with a grade: true at n when fewer than `grade` out-neighbors falsify body."""
-
-    grade: int
-    body: Formula
+    __slots__ = ("grade", "body")
 
 
-@dataclass(frozen=True)
 class Mu(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class Nu(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -384,7 +395,7 @@ class SubformulaIndex:
         def visit(f: Formula) -> int:
             nonlocal nu
             kids = [visit(c) for c in children(f)]
-            p = pos.setdefault(f, len(order))  # one hash of f, which walks its subtree
+            p = pos.setdefault(f, len(order))
             if p < len(order):
                 return p
             order.append(f)

@@ -15,9 +15,9 @@ residual set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class DecodeError(GnnError):
 # Feature layout
 
 
-@dataclass(frozen=True)
-class FeatureLayout:
+class FeatureLayout(NamedTuple):
     """Deterministic coordinate assignment for local extended configurations."""
 
     props: tuple[str, ...]
@@ -70,6 +69,9 @@ class FeatureLayout:
 
 
 def make_layout(idx: SubformulaIndex, props) -> FeatureLayout:
+    """Raises GnnError unless `props` covers the formula's propositions."""
+    if not idx.props <= set(props):
+        raise GnnError("proposition universe must cover the formula's propositions")
     props = tuple(sorted(set(props)))
     # the width of each *_coord field in field order; None is one int coordinate
     widths = (len(props), None, idx.n_fp, idx.n_fp, idx.n, idx.n, idx.n, idx.n_fp, idx.n_fp, None, None)
@@ -82,11 +84,8 @@ def make_layout(idx: SubformulaIndex, props) -> FeatureLayout:
 
 def layout_to_json(lay: FeatureLayout) -> dict:
     """The layout's fields in order, `prop_coord` written as "prop"."""
-    out = {}
-    for field in fields(lay):
-        value = getattr(lay, field.name)
-        out[field.name.removesuffix("_coord")] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {name.removesuffix("_coord"): list(value) if isinstance(value, tuple) else value
+            for name, value in zip(lay._fields, lay)}
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +187,9 @@ def decode(
 # The compiled model
 
 
-@dataclass(frozen=True)
 class RecurrentGnn:
-    formula_text: str
-    idx: SubformulaIndex
-    layout: FeatureLayout
-    comb: Rfnn
+    def __init__(self, formula_text: str, idx: SubformulaIndex, layout: FeatureLayout, comb: Rfnn):
+        self.formula_text, self.idx, self.layout, self.comb = formula_text, idx, layout, comb
 
     @property
     def dim(self) -> int:
@@ -230,11 +226,7 @@ def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> Recurre
     emitted stage by stage from the clause table (`ops`) of its index, the
     one `trans1` reads.  Takes what `sentence` takes."""
     idx = sentence(phi)
-    if props is None:
-        props = idx.props
-    elif not idx.props <= set(props):
-        raise GnnError("proposition universe must cover the formula's propositions")
-    lay = make_layout(idx, props)
+    lay = make_layout(idx, idx.props if props is None else props)
 
     b = CircuitBuilder(2 * lay.dim)
     P = {a: b.inp(c) for a, c in zip(lay.props, lay.prop_coord)}
@@ -551,8 +543,8 @@ def _is_ints(values) -> bool:
 
 def gnn_from_json(data) -> RecurrentGnn:
     """Rebuild a model from `gnn_to_json` output.  Raises GnnError if the
-    file is malformed, of another format, its formula is not the text of a
-    sentence, or its layout, width or indices do not belong to it."""
+    file is malformed, of another format, its formula is not the text of a sentence
+    over the layout's props, or its layout, width or indices do not belong to it."""
     if not isinstance(data, dict):
         raise GnnError("model file is not a JSON object")
     if data.get("format") != MODEL_FORMAT:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -44,12 +43,17 @@ class EdgeIndex:
         self.max_degree = int(deg.max(initial=0))
 
 
-@dataclass(frozen=True)
 class LabeledGraph:
-    props: tuple[str, ...]
-    node_ids: tuple[str, ...]
-    labels: tuple[frozenset[str], ...]
-    adj: tuple[tuple[int, ...], ...]
+    def __init__(self, props: tuple[str, ...], node_ids: tuple[str, ...],
+                 labels: tuple[frozenset[str], ...], adj: tuple[tuple[int, ...], ...]):
+        self.props, self.node_ids, self.labels, self.adj = props, node_ids, labels, adj
+        self._key = (props, node_ids, labels, adj)  # equality and hash are over these
+
+    def __eq__(self, other):
+        return isinstance(other, LabeledGraph) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @property
     def n(self) -> int:

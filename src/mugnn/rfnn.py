@@ -15,12 +15,11 @@ than the deepest atom it reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Rfnn:
+class Rfnn(NamedTuple):
     """`layers` is ((rows, bias), ...), one entry per level and the outputs
     last.  A row is a tuple of (atom, coef) pairs: only nonzero
     coefficients, in increasing atom order."""

@@ -8,8 +8,8 @@ iterates every fixpoint k times, or to convergence when k is None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .formula import (
     AllBut,
@@ -35,8 +35,7 @@ class SemanticsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Approximant:
+class Approximant(NamedTuple):
     """`formula` with its top fixpoint, if it is one, iterated `outer` times
     and every fixpoint below it `inner` times."""
 
@@ -71,10 +70,12 @@ class Evaluator:
         got = self._entries.get(f)
         if got is None:
             if isinstance(f, Approximant):  # brings its own counts
-                got = (tuple(sorted(free_vars(f.formula))), True, {}, {})
-            else:
-                closed = not is_fixpoint(f) and all(self._entry(c)[1] for c in children(f))
-                got = (tuple(sorted(free_vars(f))), closed, {}, {})
+                got = (self._entry(f.formula)[0], True, {}, {})
+            else:  # from its children's entries, so that each is computed once
+                kids = [self._entry(c) for c in children(f)]
+                free = {f.name} if isinstance(f, Var) else set().union(*(e[0] for e in kids))
+                free.discard(f.var if is_fixpoint(f) else None)  # a binder's own variable
+                got = (tuple(sorted(free)), not is_fixpoint(f) and all(e[1] for e in kids), {}, {})
             self._entries[f] = got
         return got
 

@@ -16,7 +16,6 @@ and the type-2 step's tick and reset sets as index sets.
 """
 
 import json
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, permutations
 from types import SimpleNamespace
@@ -186,7 +185,7 @@ def reference_trans1(cfg):
                 s &= cfg.S[c]
         S2.append(s)
 
-    return replace(cfg, R=tuple(R2), F=F2, S=tuple(S2))
+    return cfg._replace(R=tuple(R2), F=F2, S=tuple(S2))
 
 
 def reference_ticks_reset_dep(cfg):
@@ -242,7 +241,7 @@ def reference_trans2(cfg, keep_dep_counters=False):
     for p in range(idx.n):
         if F2 >> p & 1 and t.free[p] & reset_names:
             F2 &= ~(1 << p)
-    cfg2 = replace(cfg, C=tuple(C2), V=tuple(V2), F=F2, T=tuple(T2))
+    cfg2 = cfg._replace(C=tuple(C2), V=tuple(V2), F=F2, T=tuple(T2))
     return cfg2, dep
 
 
@@ -256,7 +255,7 @@ def reference_etrans_step(x):
     cfg, D = x.config, x.D
     if not D and cfg.complete:
         fresh = initial_configuration(cfg.idx, cfg.G, cfg.k + 1)
-        cfg, D = replace(fresh, C=cfg.C), frozenset(range(cfg.idx.n_fp))
+        cfg, D = fresh._replace(C=cfg.C), frozenset(range(cfg.idx.n_fp))
     if not D:
         cfg = reference_trans1(cfg)
     if not D:
@@ -270,7 +269,7 @@ def reference_etrans_step(x):
                 C2[vi] = c - 1
             if c - 1 > 0:
                 D2.add(vi)
-        cfg = replace(cfg, C=tuple(C2))
+        cfg = cfg._replace(C=tuple(C2))
         D = frozenset(D2)
     return ExtendedConfiguration(cfg, D)
 

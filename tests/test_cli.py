@@ -267,9 +267,10 @@ def _dense_format(data):
         lambda d: [d],
         _dense_format,
         _format_2,
+        lambda d: {**d, "formula": "mu X.(z | <>X)"},
     ],
     ids=["formula-not-a-string", "layout-not-an-object", "layer-not-a-list",
-         "top-level-list", "dense-format-1", "format-2"],
+         "top-level-list", "dense-format-1", "format-2", "prop-outside-layout"],
 )
 def test_run_malformed_model_exit_2(runner, tmp_path, g1_path, damage):
     data = gnn_to_json(compile_formula(REACH, props=["p", "q"]))

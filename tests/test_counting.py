@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -168,9 +167,18 @@ def test_trans3_restarts_when_complete(g1):
     assert check_coherent(nxt) is None
 
 
+def test_configuration_replace_keeps_type_and_equality(g1, phi_reach):
+    cfg = initial_configuration(index(phi_reach), g1, 2)
+    same = cfg._replace(C=tuple(cfg.C))
+    assert type(same) is Configuration and same == cfg and hash(same) == hash(cfg)
+    later = cfg._replace(k=3)
+    assert type(later) is Configuration and later != cfg and not later.complete
+    assert later == initial_configuration(index(phi_reach), g1, 3)
+
+
 def test_check_coherent_catches_tampering(g1, phi_reach):
     cfg, _ = run_counting(phi_reach, g1)
-    bad = replace(cfg, R=cfg.R[:-1] + (cfg.R[-1] ^ 0b001,))
+    bad = cfg._replace(R=cfg.R[:-1] + (cfg.R[-1] ^ 0b001,))
     diag = check_coherent(bad)
     assert diag is not None and "consistency" in diag
 
@@ -251,7 +259,7 @@ def test_partial_trans3_complete(g1):
     assert ext.config.k == cfg.k + 1
     assert ext.config.C == cfg.C  # counters retained
     fresh = initial_configuration(cfg.idx, g1, cfg.k + 1)
-    assert ext.config == replace(fresh, C=cfg.C)
+    assert ext.config == fresh._replace(C=cfg.C)
 
 
 def test_partial_trans3_incomplete(g1, phi_reach):
@@ -263,10 +271,10 @@ def test_partial_trans3_incomplete(g1, phi_reach):
 def test_etrans_reset_arithmetic(g1, phi_reach):
     idx = index(phi_reach)
     base = initial_configuration(idx, g1, 4)
-    cfg = replace(base, C=(3,))
+    cfg = base._replace(C=(3,))
     x = etrans_step(ExtendedConfiguration(cfg, frozenset({0})))
     assert x.config.C == (2,) and x.D == frozenset({0})
-    cfg = replace(base, C=(1,))
+    cfg = base._replace(C=(1,))
     x = etrans_step(ExtendedConfiguration(cfg, frozenset({0})))
     assert x.config.C == (0,) and x.D == frozenset()
 

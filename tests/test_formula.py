@@ -1,5 +1,6 @@
+import copy
+import pickle
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -194,8 +195,10 @@ def _unbind(f, var):
         return _unbind(f.body, var)
     if isinstance(f, (And, Or)):
         return type(f)(_unbind(f.lhs, var), _unbind(f.rhs, var))
-    if isinstance(f, (AtLeast, AllBut, Mu, Nu)):
-        return replace(f, body=_unbind(f.body, var))
+    if isinstance(f, (AtLeast, AllBut)):
+        return type(f)(f.grade, _unbind(f.body, var))
+    if isinstance(f, (Mu, Nu)):
+        return type(f)(f.var, _unbind(f.body, var))
     return f
 
 
@@ -237,6 +240,49 @@ def test_sentence_takes_text_a_formula_or_an_index():
 def test_free_vars():
     assert free_vars(parse("mu X.(X | Y)")) == {"Y"}
     assert free_vars(parse("mu X.(p | <>X)")) == set()
+
+
+def test_nodes_of_different_clauses_are_unequal():
+    a, b = Prop("p"), Var("X")
+    for f, g in [(Prop("p"), NegProp("p")), (Prop("p"), Var("p")), (NegProp("p"), Var("p")),
+                 (And(a, b), Or(a, b)), (AtLeast(2, a), AllBut(2, a)), (Mu("X", a), Nu("X", a))]:
+        assert f != g and g != f
+
+
+def test_nodes_built_apart_are_equal_with_equal_hashes():
+    rng = random.Random(11)
+    for _ in range(100):
+        f = random_formula(rng)
+        for g in (parse(to_text(f)), pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert g is not f and g == f and hash(g) == hash(f)
+
+
+def test_nodes_are_immutable():
+    f = And(Prop("p"), AtLeast(2, Var("X")))
+    with pytest.raises(AttributeError):
+        f.lhs = Prop("q")
+    with pytest.raises(AttributeError):
+        del f.rhs
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    with pytest.raises(TypeError):
+        And(Prop("p"))
+    assert f == And(Prop("p"), AtLeast(2, Var("X")))
+
+
+def test_node_repr():
+    assert repr(parse("(mu X.(p | <2>X)) & [3]~q")) == (
+        "And(lhs=Mu(var='X', body=Or(lhs=Prop(name='p'), rhs=AtLeast(grade=2, body=Var(name='X')))), "
+        "rhs=AllBut(grade=3, body=NegProp(name='q')))"
+    )
+
+
+def test_deep_chain_hashes_without_recursion():
+    # built with constructors, far deeper than `parse` accepts
+    f = g = Prop("p")
+    for i in range(5000):
+        f, g = And(f, Prop(f"q{i % 3}")), And(g, Prop(f"q{i % 3}"))
+    assert {f: 1}[f] == 1 and hash(f) == hash(g)
 
 
 TOO_DEEP = {

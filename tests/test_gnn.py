@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -24,6 +23,7 @@ from mugnn.gnn import (
     gnn_from_json,
     gnn_to_json,
     LevelProgram,
+    RecurrentGnn,
     load_gnn,
     run_gnn,
     save_gnn,
@@ -365,6 +365,10 @@ def test_level_program_edge_rows():
     assert prog.n_atoms == 2 + 3 + 3 + 1  # inputs, level 0, level 1, the ones row
 
 
+def _with_comb(gnn, comb):
+    return RecurrentGnn(gnn.formula_text, gnn.idx, gnn.layout, comb)
+
+
 def _replace_row(comb, li, i, row):
     W, bias = comb.layers[li]
     layer = (W[:i] + (row,) + W[i + 1 :], bias)
@@ -389,7 +393,7 @@ def test_malformed_combine_network_rejected(g1, phi_reach):
     ]
     for net in broken:
         with pytest.raises(GnnError):
-            run_gnn(dataclasses.replace(gnn, comb=net), g1)
+            run_gnn(_with_comb(gnn, net), g1)
 
 
 def test_compiled_rows_are_sparse_and_sorted():
@@ -435,7 +439,7 @@ def test_program_built_once_per_model(monkeypatch, g1, phi_reach):
     # A copy with another network gets a program of its own.
     W, bias = gnn.comb.layers[-1]
     comb = Rfnn(gnn.comb.layers[:-1] + ((W, bias[:-1] + (5,)),), gnn.comb.input_width)
-    changed = dataclasses.replace(gnn, comb=comb)
+    changed = _with_comb(gnn, comb)
     assert apply_layer(changed, g1, snaps[0])[0][-1] == 5
     assert len(builds) == 3 and builds[-1] is comb
 
@@ -514,7 +518,7 @@ def test_state_beyond_run_limit_raises():
     (W, bias), h = gnn.comb.layers[last], gnn.hlt_index
     assert bias[h] == 0
     row = tuple((c, w * 2**30) for c, w in W[h])
-    gnn = dataclasses.replace(gnn, comb=_replace_row(gnn.comb, last, h, row))
+    gnn = _with_comb(gnn, _replace_row(gnn.comb, last, h, row))
     bound = LevelProgram(gnn.comb).max_input
     assert 2**10 < bound < 2**16
     x = ExtendedConfiguration(initial_configuration(gnn.idx, G, 1), frozenset())
@@ -615,12 +619,13 @@ def _atoms(data):
         lambda data: _set(["layer", 0, "weights", 0], [48 + data["layer"][0]["rows"], 1])(data),
         lambda data: _set(["layer", -1, "weights", 0], [_atoms(data), 1])(data),
         _set(["formula"], "mu X.(p | <>Y)"),
+        _set(["formula"], "mu X.(z | <>X)"),
     ],
     ids=["format-1", "formula-list", "layout-changed", "string-props", "dim", "out-index",
          "hlt-index", "layer-not-an-object", "bias-length", "row-not-a-list", "odd-row",
          "float-coef", "bool-coef", "first-layer-column-2dim", "negative-column",
          "output-width", "format-2", "own-level-atom", "later-level-atom",
-         "output-reads-past-atoms", "open-formula"],
+         "output-reads-past-atoms", "open-formula", "prop-outside-layout"],
 )
 def test_malformed_model_json_rejected(g1, phi_reach, damage):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))
