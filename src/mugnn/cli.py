@@ -56,6 +56,8 @@ def _load(formula_text, graph_path):
 
 def _prop_names(ctx, param, value):
     """Comma-separated names, each one that `parse` reads as a proposition."""
+    if value is None:
+        return None
     names = value.split(",")
     for name in names:
         try:
@@ -138,11 +140,11 @@ def check(formula, graph, engine, max_steps, pretty):
 @main.command(name="compile")
 @click.argument("formula")
 @click.argument("out", type=click.Path())
-@click.option("--props", default=None, help="comma-separated proposition universe")
+@click.option("--props", default=None, callback=_prop_names,
+              help="comma-separated proposition universe")
 def compile_cmd(formula, out, props):
     """Compile FORMULA to a GNN model file."""
-    universe = props.split(",") if props else None
-    gnn = compile_formula(formula, props=universe)
+    gnn = compile_formula(formula, props=props)
     try:
         save_gnn(gnn, out)
     except OSError as e:
@@ -280,12 +282,12 @@ def gen_formula_cmd(seed, max_size, max_fixpoints, max_grade, props):
 @main.command(name="gen-graph")
 @click.option("--seed", type=int, default=0)
 @click.option("--max-nodes", type=click.IntRange(min=1), default=10)
-@click.option("--edge-prob", type=float, default=0.3)
-@click.option("--props", default="p,q,r")
+@click.option("--edge-prob", type=click.FloatRange(0, 1), default=0.3)
+@click.option("--props", default="p,q,r", callback=_prop_names)
 def gen_graph_cmd(seed, max_nodes, edge_prob, props):
     """Print a random graph as JSON."""
     rng = random.Random(seed)
-    G = random_graph(rng, max_nodes=max_nodes, edge_prob=edge_prob, props=props.split(","))
+    G = random_graph(rng, max_nodes=max_nodes, edge_prob=edge_prob, props=props)
     click.echo(json.dumps(graph_to_json(G)))
 
 

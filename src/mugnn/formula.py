@@ -313,8 +313,10 @@ def well_name(phi: Formula) -> Formula:
     """Rename bound variables so each is bound once and none is also free.
 
     Deterministic: a clashing binder gets the smallest fresh integer suffix,
-    binders visited left to right.
+    binders visited left to right.  A well-named formula is returned itself.
     """
+    if is_well_named(phi):
+        return phi
     used = set(free_vars(phi))
 
     def fresh(name: str) -> str:

@@ -79,9 +79,8 @@ def random_graph(
     max_nodes: int = 10,
     edge_prob: float = 0.3,
     props=("p", "q", "r"),
-    min_nodes: int = 1,
 ) -> LabeledGraph:
-    n = rng.randint(min_nodes, max_nodes)
+    n = rng.randint(1, max_nodes)
     node_ids = [str(i) for i in range(n)]
     labels = [
         [p for p in props if rng.random() < 0.5]
@@ -96,11 +95,11 @@ def random_graph(
     return make_graph(props, node_ids, labels, edges)
 
 
-def path_graph(n: int, props=("p", "q"), label_last=("p",)) -> LabeledGraph:
-    """Directed path 0 -> 1 -> ... -> n-1 with labels only on the last node."""
+def path_graph(n: int, props=("p", "q")) -> LabeledGraph:
+    """Directed path 0 -> 1 -> ... -> n-1 with p only on the last node."""
     node_ids = [str(i) for i in range(n)]
     labels = [[] for _ in range(n)]
     if n:
-        labels[-1] = list(label_last)
+        labels[-1] = ["p"]
     edges = [(i, i + 1) for i in range(n - 1)]
     return make_graph(props, node_ids, labels, edges)

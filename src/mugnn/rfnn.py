@@ -8,9 +8,9 @@ form.  The last entry holds the output rows, affine forms without a ReLU
 over any atom.  Rows are stored sparsely, as (atom, coefficient) pairs.
 
 The CircuitBuilder lets the compiler write arithmetic over named inputs
-(linear combinations plus explicit relu nodes, hash-consed) and emits the
-relu nodes the outputs need as such a network, each at its depth: one more
-than the deepest atom it reads.
+(linear combinations plus explicit relu nodes, hash-consed) and emits every
+relu node it built as such a network, each at its depth: one more than the
+deepest atom it reads.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class Rfnn(NamedTuple):
 
 
 def rfnn_eval(f: Rfnn, x) -> list:
-    """Exact evaluation; works for ints, Fractions, floats alike."""
+    """Exact evaluation over integers or Fractions."""
     v = list(x)
     if len(v) != f.input_width:
         raise ValueError(f"input width {len(v)}, network reads {f.input_width}")
@@ -38,7 +38,7 @@ def rfnn_eval(f: Rfnn, x) -> list:
         z = [sum(c * v[j] for j, c in row) + bi for row, bi in zip(rows, b)]
         if li == last:
             return z
-        v += [max(0, a) if not isinstance(a, float) else max(0.0, a) for a in z]
+        v += [max(0, a) for a in z]
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +76,6 @@ class LinExpr:
 
     def __rsub__(self, other):  # int - expr
         return (-self) + other
-
-    def __mul__(self, c: int):
-        if c == 0:
-            return LinExpr({}, 0)
-        return LinExpr({a: co * c for a, co in self.terms.items()}, self.const * c)
-
-    __rmul__ = __mul__
 
     def key(self):
         return (tuple(sorted(self.terms.items())), self.const)
@@ -127,29 +120,21 @@ class CircuitBuilder:
         return self.relu(e) - self.relu(e - 1)
 
     def band(self, *es) -> LinExpr:
-        es = [e for e in es]
-        if not es:
-            return self.const(1)
-        if len(es) == 1:
-            return es[0]
-        s = es[0]
-        for e in es[1:]:
-            s = s + e
-        return self.relu(s - (len(es) - 1))
+        return self._gate(es, 1, lambda s: self.relu(s - (len(es) - 1)))
 
     def bor(self, *es) -> LinExpr:
-        if not es:
-            return self.const(0)
-        if len(es) == 1:
-            return es[0]
-        s = es[0]
-        for e in es[1:]:
-            s = s + e
-        return self.clip(s)
+        return self._gate(es, 0, self.clip)
+
+    def _gate(self, es, empty: int, fire) -> LinExpr:
+        """`empty` of no argument, the one argument itself, or `fire` of the sum."""
+        if len(es) < 2:
+            return es[0] if es else self.const(empty)
+        return fire(sum(es[1:], es[0]))
 
     def eqb(self, a: LinExpr, b: LinExpr) -> LinExpr:
         """1 iff booleans a and b agree."""
-        return 1 - a - b + 2 * self.band(a, b)
+        both = self.band(a, b)
+        return 1 - a - b + both + both
 
     def geq_const(self, e: LinExpr, c: int) -> LinExpr:
         """1 iff natural-valued x >= c."""
@@ -159,35 +144,19 @@ class CircuitBuilder:
 
     def build(self, outputs: list[LinExpr]) -> Rfnn:
         n_in = self.n_inputs
-        n_atoms = n_in + len(self.relu_exprs)
-        needed = [False] * n_atoms
-        stack = []
-        for e in outputs:
-            stack.extend(e.terms)
-        while stack:
-            a = stack.pop()
-            if needed[a]:
-                continue
-            needed[a] = True
-            if a >= n_in:
-                stack.extend(self.relu_exprs[a - n_in].terms)
-
-        # Atoms are numbered level by level after the inputs.  A needed atom's
-        # deepest source is needed too, one level down, so no level is empty.
-        depth = max((self.levels[a] for a in range(n_in, n_atoms) if needed[a]), default=0)
-        groups = [[] for _ in range(depth)]
-        for a in range(n_in, n_atoms):
-            if needed[a]:
-                groups[self.levels[a] - 1].append(a)
+        # Atoms are numbered level by level after the inputs.  A relu atom's
+        # deepest source is one level down, so no level is empty.
+        groups = [[] for _ in range(max(self.levels[n_in:], default=0))]
+        for a in range(n_in, len(self.levels)):
+            groups[self.levels[a] - 1].append(a)
         atom = {a: i for i, a in enumerate(chain(range(n_in), *groups))}
 
-        def row(e):
-            return tuple(sorted((atom[a], c) for a, c in e.terms.items()))
+        def level(es):
+            rows = tuple(tuple(sorted((atom[a], c) for a, c in e.terms.items())) for e in es)
+            return rows, tuple(e.const for e in es)
 
         exprs = [[self.relu_exprs[a - n_in] for a in g] for g in groups] + [outputs]
-        return Rfnn(
-            tuple((tuple(map(row, es)), tuple(e.const for e in es)) for es in exprs), n_in
-        )
+        return Rfnn(tuple(map(level, exprs)), n_in)
 
 
 # ---------------------------------------------------------------------------

@@ -479,7 +479,18 @@ def test_gen_bounds_below_one_exit_2(runner, args):
 
 
 @pytest.mark.parametrize("props", [",", "P", "p,Q", "mu", "p q", ""])
-def test_gen_formula_rejects_non_proposition_names(runner, props):
-    res = invoke(runner, "gen-formula", "--props", props)
+def test_gen_formula_rejects_non_proposition_names(runner, props, tmp_path):
+    # gen-graph and compile read --props the same way: a graph or model over
+    # a name no formula can mention is a usage error
+    for args in (["gen-formula"], ["gen-graph"], ["compile", "p", str(tmp_path / "m.json")]):
+        res = invoke(runner, *args, "--props", props)
+        assert res.exit_code == 2, args
+        assert "is not a lowercase proposition name" in res.output, args
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("prob", ["-0.1", "1.5"])
+def test_gen_graph_edge_prob_outside_unit_interval_exit_2(runner, prob):
+    res = invoke(runner, "gen-graph", "--edge-prob", prob)
     assert res.exit_code == 2
-    assert "is not a lowercase proposition name" in res.output
+    assert "--edge-prob" in res.output

@@ -118,6 +118,7 @@ def test_well_name_idempotent_random():
     for _ in range(200):
         phi = random_formula(rng, max_size=15)
         named = well_name(phi)
+        assert named is phi  # already well named, so no node is rebuilt
         assert is_well_named(named)
         assert well_name(named) == named
 

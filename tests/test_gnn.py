@@ -47,6 +47,25 @@ def random_reachable_ext(rng, phi, G, steps=None):
     return x
 
 
+def test_every_hidden_atom_is_read_by_a_later_row():
+    # The builder emits every ReLU atom the compiler asked for, so the
+    # compiler must ask for none that no later row reads.
+    rng = random.Random(2026)
+    formulas = ["mu X.(p | <>X)", "nu X.([2]X & mu Y.(q | <>Y))",
+                "mu X1.(p | <>mu X2.(X1 | <>mu X3.(X2 | <>mu X4.(X3 | <>X4))))"]
+    formulas += [random_formula(rng, max_fixpoints=4, max_size=30) for _ in range(150)]
+    for phi in formulas:
+        comb = compile_formula(phi).comb
+        read, start = set(), comb.input_width
+        for rows, _ in comb.layers:
+            atoms = {a for row in rows for a, _ in row}
+            assert max(atoms, default=-1) < start  # a row reads earlier atoms only
+            read |= atoms
+            start += len(rows)
+        unread = set(range(comb.input_width, start - len(rows))) - read  # not outputs
+        assert not unread, (phi if isinstance(phi, str) else to_text(phi), unread)
+
+
 def test_encode_initial(g1, phi_reach):
     # A run starts from the encoding of the initial configuration at k = 1:
     # the labels, k = 1, V all 1 for a nu variable, T and pad all 1.

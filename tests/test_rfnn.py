@@ -114,7 +114,6 @@ def test_builder_emits_atom_dag():
     x0, x1 = b.inp(0), b.inp(1)
     s = b.relu(x0 + x1)
     t = b.relu(s - x1)
-    b.relu(x0 - 7)  # not needed by the outputs, so not emitted
     net = b.build([t + s - x1 + 3])
     assert net == Rfnn((
         ((((0, 1), (1, 1)),), (0,)),
