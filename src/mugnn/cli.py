@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -67,6 +68,13 @@ def _prop_names(ctx, param, value):
         if not ok:
             raise click.BadParameter(f"{name!r} is not a lowercase proposition name")
     return names
+
+
+def _not_nan(ctx, param, value):
+    """`click.FloatRange` only compares, and NaN fails no comparison."""
+    if math.isnan(value):
+        raise click.BadParameter("nan is not a probability")
+    return value
 
 
 def _run_engine(idx, G, engine, max_steps=None):
@@ -282,7 +290,7 @@ def gen_formula_cmd(seed, max_size, max_fixpoints, max_grade, props):
 @main.command(name="gen-graph")
 @click.option("--seed", type=int, default=0)
 @click.option("--max-nodes", type=click.IntRange(min=1), default=10)
-@click.option("--edge-prob", type=click.FloatRange(0, 1), default=0.3)
+@click.option("--edge-prob", type=click.FloatRange(0, 1), default=0.3, callback=_not_nan)
 @click.option("--props", default="p,q,r", callback=_prop_names)
 def gen_graph_cmd(seed, max_nodes, edge_prob, props):
     """Print a random graph as JSON."""

@@ -30,9 +30,10 @@ class ParseError(FormulaError):
 
 class Formula:
     """An immutable syntax-tree node, equal to a node of the same clause with equal
-    fields and hashed once, when built; a clause lists its fields in `__slots__`."""
+    fields and hashed once, when built; a clause lists its fields in `__slots__`.
+    `_index` is unset until `sentence` stores the node's index there."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_index")
 
     def __init__(self, *values):
         if len(values) != len(self.__slots__):
@@ -315,8 +316,10 @@ def well_name(phi: Formula) -> Formula:
     Deterministic: a clashing binder gets the smallest fresh integer suffix,
     binders visited left to right.  A well-named formula is returned itself.
     """
-    if is_well_named(phi):
-        return phi
+    return phi if is_well_named(phi) else _rename(phi)
+
+
+def _rename(phi: Formula) -> Formula:
     used = set(free_vars(phi))
 
     def fresh(name: str) -> str:
@@ -343,18 +346,23 @@ def well_name(phi: Formula) -> Formula:
     return go(phi, {})
 
 
+def _well_named(bound: list[str], free) -> bool:
+    """The rule, given every binder occurrence and the free variables: each
+    variable is bound once and none is also free."""
+    return len(set(bound)) == len(bound) and free.isdisjoint(bound)
+
+
 def is_well_named(phi: Formula) -> bool:
-    free = free_vars(phi)
-    seen: set[str] = set()
+    bound: list[str] = []
 
-    def go(f: Formula) -> bool:
+    def go(f: Formula) -> None:
         if isinstance(f, (Mu, Nu)):
-            if f.var in seen or f.var in free:
-                return False
-            seen.add(f.var)
-        return all(go(c) for c in children(f))
+            bound.append(f.var)
+        for c in children(f):
+            go(c)
 
-    return go(phi)
+    go(phi)
+    return _well_named(bound, free_vars(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +391,10 @@ class SubformulaIndex:
     """
 
     def __init__(self, phi: Formula):
-        if not is_well_named(phi):
-            raise FormulaError("index requires a well-named formula")
         self.root_formula = phi
         order: list[Formula] = []
         pos: dict[Formula, int] = {}
-        ops, sub, fps, props, nu = [], [], [], set(), 0
+        ops, sub, fps, props, nu, bound = [], [], [], set(), 0, []
         # Bottom-up masks: per position its free variables, as bits numbered
         # in order of first sight (renumbered below), and the fixpoints at or
         # below it; per fixpoint the fixpoints strictly below it.
@@ -397,6 +403,8 @@ class SubformulaIndex:
         def visit(f: Formula) -> int:
             nonlocal nu
             kids = [visit(c) for c in children(f)]
+            if isinstance(f, (Mu, Nu)):
+                bound.append(f.var)  # every occurrence, before the dedup below
             p = pos.setdefault(f, len(order))
             if p < len(order):
                 return p
@@ -431,6 +439,8 @@ class SubformulaIndex:
             return p
 
         self.root = visit(phi)
+        if not _well_named(bound, {x for x, s in first_seen.items() if free[self.root] >> s & 1}):
+            raise FormulaError("index requires a well-named formula")
         self.formulas: tuple[Formula, ...] = tuple(order)
         self.pos = pos
         self.n = len(order)
@@ -484,10 +494,27 @@ def index(phi: Formula) -> SubformulaIndex:
 def sentence(phi: str | Formula | SubformulaIndex) -> SubformulaIndex:
     """The index of a sentence given as text, a formula or an index: text is
     parsed, a formula well-named and indexed, and an index kept as it is.
-    Raises FormulaError on an open formula."""
-    idx = phi
-    if not isinstance(idx, SubformulaIndex):
-        idx = index(well_name(parse(phi) if isinstance(phi, str) else phi))
+
+    A formula's index is built once and kept with it: it is stored on the
+    formula given and, when that had to be renamed, on the well-named root
+    it indexed, so a later call on either object returns it.  Only a caller
+    that passes the same formula object again gains; one that holds the
+    index can pass it instead.  Raises FormulaError on an open formula, on
+    every call."""
+    if isinstance(phi, SubformulaIndex):
+        idx = phi
+    else:
+        if isinstance(phi, str):
+            phi = parse(phi)
+        try:
+            idx = phi._index
+        except AttributeError:
+            try:  # the index walk checks well-naming, so a well-named phi is walked once
+                idx = index(phi)
+            except FormulaError:
+                idx = index(_rename(phi))
+                object.__setattr__(idx.root_formula, "_index", idx)
+            object.__setattr__(phi, "_index", idx)
     if not idx.is_sentence:
         raise FormulaError("a sentence (no free variables) is required")
     return idx

@@ -605,7 +605,7 @@ def gnn_from_json(data) -> RecurrentGnn:
 
 def save_gnn(gnn: RecurrentGnn, path) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(gnn_to_json(gnn)) + "\n")
+        fh.write(json.dumps(gnn_to_json(gnn), separators=(",", ":")) + "\n")
 
 
 def load_gnn(path) -> RecurrentGnn:

@@ -489,7 +489,7 @@ def test_gen_formula_rejects_non_proposition_names(runner, props, tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("prob", ["-0.1", "1.5"])
+@pytest.mark.parametrize("prob", ["-0.1", "1.5", "nan"])
 def test_gen_graph_edge_prob_outside_unit_interval_exit_2(runner, prob):
     res = invoke(runner, "gen-graph", "--edge-prob", prob)
     assert res.exit_code == 2

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import mugnn.formula
 from mugnn.counting import (
     Configuration,
     ExtendedConfiguration,
@@ -226,6 +227,30 @@ def test_engines_agree_on_a_wide_graph(text):
     assert stable == cfg.R[cfg.idx.root] == x.config.R[x.config.idx.root] == want
     assert mask_of(n for n, bit in enumerate(out) if bit) == want
     assert stable_k == cfg.k
+
+
+def test_a_formula_is_indexed_once_across_runs(monkeypatch, g1):
+    calls = []
+    real = mugnn.formula.index
+    monkeypatch.setattr(mugnn.formula, "index", lambda phi: calls.append(phi) or real(phi))
+    phi = parse("nu X.([2]X & mu Y.(q | <>Y))")
+    first, _ = run_counting(phi, g1)
+    assert len(calls) == 1
+    again, _ = run_counting(phi, g1)
+    run_extended(phi, g1)
+    compile_formula(phi)
+    assert len(calls) == 1
+    assert again == first
+
+
+@pytest.mark.parametrize("text, k", [
+    ("(mu X.(p | <>X)) & nu X.(q | [1]X)", 4),
+    ("mu X.(p | <>mu X.(X | q))", 2),
+])
+def test_model_check_stable_renames_clashing_binders(g1, text, k):
+    # binders that clash are renamed before the stability scan
+    phi = parse(text)
+    assert model_check_stable(phi, g1) == (evaluate(phi, g1), k)
 
 
 def test_no_repeat_within_k_phase(g1):

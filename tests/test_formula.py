@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 
@@ -115,12 +116,24 @@ def test_well_name_free_bound_clash():
 
 def test_well_name_idempotent_random():
     rng = random.Random(1)
+    seen = set()
     for _ in range(200):
         phi = random_formula(rng, max_size=15)
         named = well_name(phi)
         assert named is phi  # already well named, so no node is rebuilt
         assert is_well_named(named)
         assert well_name(named) == named
+        # binders merged at random, so some clash: the index checks the same rule
+        clashing = parse(re.sub(r"X\d", lambda m: rng.choice(("X0", "X1")), to_text(phi)))
+        clashing = Or(clashing, Var("X1")) if rng.random() < 0.3 else clashing
+        try:
+            index(clashing)
+            indexed = True
+        except FormulaError:
+            indexed = False
+        assert indexed == is_well_named(clashing)
+        seen.add(indexed)
+    assert seen == {True, False}
 
 
 def test_print_parse_roundtrip_random():
@@ -161,8 +174,18 @@ def test_step_resets_close_over_binders_that_mention_a_reset():
 
 
 def test_index_requires_well_named():
-    with pytest.raises(FormulaError):
-        index(parse("(mu X.<>X) | (mu X.p)"))
+    for text in ("(mu X.<>X) | (mu X.p)",
+                 "(mu X.X) & (mu X.X)",  # one binder twice: the index keeps it once
+                 "mu X.(X | mu X.p)",
+                 "X | mu X.p"):  # bound and free
+        with pytest.raises(FormulaError, match="well-named"):
+            index(parse(text))
+
+
+def test_sentence_renames_a_twice_bound_subtree():
+    idx = sentence("(mu X.X) & (mu X.X)")
+    assert idx.root_formula == parse("(mu X.X) & (mu X1.X1)")
+    assert idx.var_names == ("X", "X1")
 
 
 def test_index_postorder_children_first():
@@ -236,6 +259,40 @@ def test_sentence_takes_text_a_formula_or_an_index():
     for open_formula in ("p | X", parse("p | X"), index(parse("p | X"))):
         with pytest.raises(FormulaError, match="no free variables"):
             sentence(open_formula)
+
+
+def test_sentence_indexes_a_formula_once():
+    text = "(mu X.(p | <>X)) & nu X.(q | [1]X)"  # renamed on the way in
+    phi = parse(text)
+    idx = sentence(phi)
+    assert sentence(phi) is idx
+    assert sentence(idx.root_formula) is idx
+    assert idx.root_formula is not phi
+    well = parse("mu X.(p | <>X)")
+    assert sentence(well).root_formula is well  # indexed as it is
+    named = sentence(text)
+    assert sentence(named.root_formula) is named and named == idx
+
+
+def test_sentence_rejects_an_open_formula_on_every_call():
+    phi = parse("mu X.(p | <>Y)")
+    for _ in range(2):
+        with pytest.raises(FormulaError, match="no free variables"):
+            sentence(phi)
+
+
+def test_a_kept_index_changes_no_equality_hash_or_repr():
+    rng = random.Random(12)
+    for _ in range(50):
+        f = random_formula(rng)
+        sentence(f)
+        fresh = parse(to_text(f))
+        assert f == fresh and fresh == f
+        assert hash(f) == hash(fresh) and repr(f) == repr(fresh)
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert g == f
+            with pytest.raises(AttributeError):
+                g._index  # rebuilt by the constructor, so indexed again when asked
 
 
 def test_free_vars():
