@@ -19,12 +19,7 @@ from .graph import (
     load_graph,
     make_graph,
 )
-from .semantics import (
-    adorn,
-    evaluate,
-    model_check_stable,
-    uniform,
-)
+from .semantics import evaluate, model_check_stable
 from .counting import (
     Configuration,
     ExtendedConfiguration,

@@ -1,4 +1,5 @@
-"""Seeded random instance generators for differential testing."""
+"""Seeded random instance generators for differential testing.  Each binder of
+`random_formula` gets a fresh `X{i}`, so its sentences come out well named."""
 
 from __future__ import annotations
 
@@ -16,20 +17,20 @@ from .formula import (
     Prop,
     Var,
     ast_size,
-    well_name,
 )
 from .graph import LabeledGraph, make_graph
+
+MAX_NESTING = 3
 
 
 def random_formula(
     rng: random.Random,
     props=("p", "q", "r"),
     max_fixpoints: int = 3,
-    max_nesting: int = 3,
     max_grade: int = 3,
     max_size: int = 25,
 ) -> Formula:
-    """A random well-named NNF sentence within the given bounds."""
+    """A random well-named NNF sentence within the bounds, at most MAX_NESTING binders deep."""
     props = list(props)
     state = {"fp_left": max_fixpoints, "next_var": 0}
 
@@ -50,7 +51,7 @@ def random_formula(
         choices = ["dia", "box", "leaf"]
         if budget >= 3:
             choices += ["and", "or"]
-        if state["fp_left"] > 0 and nest < max_nesting:
+        if state["fp_left"] > 0 and nest < MAX_NESTING:
             choices += ["mu", "nu"]
         kind = rng.choice(choices)
         if kind == "leaf":
@@ -71,7 +72,7 @@ def random_formula(
         body = go(budget - 1, scope + [var], nest + 1)
         return (Mu if kind == "mu" else Nu)(var, body)
 
-    return well_name(go(max_size, [], 0))
+    return go(max_size, [], 0)
 
 
 def random_graph(

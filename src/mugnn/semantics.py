@@ -1,15 +1,16 @@
 """Ground-truth fixpoint semantics, k-approximations, and stability.
 
 This is the oracle layer: everything downstream (the counting machine, the
-compiled networks) is checked against these functions.  A k-approximation
-is not a second syntax but a count on the binders: `Evaluator.evaluate`
-iterates every fixpoint k times, or to convergence when k is None.
+compiled networks) is checked against these functions.  An approximant is
+a count on the binders, not a second syntax: `Evaluator.evaluate(f, V, k)`
+iterates every fixpoint of f k times, or to convergence when k is None, and
+`Evaluator.approx_chain(f, j, k, V)[-1]` is the j-th iterate of the fixpoint
+f with every fixpoint below it iterated k times.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import NamedTuple
 
 from .formula import (
     AllBut,
@@ -35,24 +36,6 @@ class SemanticsError(ValueError):
     pass
 
 
-class Approximant(NamedTuple):
-    """`formula` with its top fixpoint, if it is one, iterated `outer` times
-    and every fixpoint below it `inner` times."""
-
-    formula: Formula
-    outer: int
-    inner: int
-
-
-def adorn(phi: Formula, outer: int, inner: int) -> Approximant:
-    """The top-level fixpoint (if any) counted `outer`, all inner ones `inner`."""
-    return Approximant(phi, outer, inner)
-
-
-def uniform(phi: Formula, k: int) -> Approximant:
-    return Approximant(phi, k, k)
-
-
 # ---------------------------------------------------------------------------
 # Evaluator with shared memo tables (one instance per graph)
 
@@ -64,18 +47,16 @@ class Evaluator:
 
     # -- helpers
 
-    def _entry(self, f) -> tuple[tuple[str, ...], bool, dict, dict]:
+    def _entry(self, f: Formula) -> tuple[tuple[str, ...], bool, dict, dict]:
         """f's free variables, sorted, whether f is free of fixpoints, and
         its memo tables of values and of stable sets."""
         got = self._entries.get(f)
         if got is None:
-            if isinstance(f, Approximant):  # brings its own counts
-                got = (self._entry(f.formula)[0], True, {}, {})
-            else:  # from its children's entries, so that each is computed once
-                kids = [self._entry(c) for c in children(f)]
-                free = {f.name} if isinstance(f, Var) else set().union(*(e[0] for e in kids))
-                free.discard(f.var if is_fixpoint(f) else None)  # a binder's own variable
-                got = (tuple(sorted(free)), not is_fixpoint(f) and all(e[1] for e in kids), {}, {})
+            # from its children's entries, so that each is computed once
+            kids = [self._entry(c) for c in children(f)]
+            free = {f.name} if isinstance(f, Var) else set().union(*(e[0] for e in kids))
+            free.discard(f.var if is_fixpoint(f) else None)  # a binder's own variable
+            got = (tuple(sorted(free)), not is_fixpoint(f) and all(e[1] for e in kids), {}, {})
             self._entries[f] = got
         return got
 
@@ -88,7 +69,7 @@ class Evaluator:
 
     # -- evaluation
 
-    def evaluate(self, f, V: dict, k: int | None = None) -> int:
+    def evaluate(self, f: Formula, V: dict, k: int | None = None) -> int:
         """The nodes where f holds under V, every fixpoint iterated k times,
         or to convergence when k is None."""
         names, closed, memo, _ = self._entry(f)
@@ -121,12 +102,6 @@ class Evaluator:
                 if S == r:
                     break
                 r = S
-        elif isinstance(f, Approximant):
-            phi = f.formula
-            if is_fixpoint(phi):
-                r = self.approx_chain(phi, f.outer, f.inner, V)[-1]
-            else:
-                r = self.evaluate(phi, V, f.inner)
         else:
             raise TypeError(f"not a formula: {f!r}")
         memo[key] = r
@@ -134,7 +109,7 @@ class Evaluator:
 
     # -- approximation chains and stability
 
-    def approx_chain(self, f, i: int, k: int, V: dict) -> list[int]:
+    def approx_chain(self, f: Formula, i: int, k: int, V: dict) -> list[int]:
         """[[f^(0,k)]], ..., [[f^(i,k)]] for a fixpoint formula f."""
         S = 0 if isinstance(f, Mu) else self.G.full_mask
         chain = [S]

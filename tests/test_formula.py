@@ -231,7 +231,7 @@ def test_one_pass_index_matches_the_trees():
     # a free variable is numbered after the fixpoints
     rng = random.Random(5)
     for trial in range(300):
-        phi = random_formula(rng, max_size=20, max_nesting=3)
+        phi = random_formula(rng, max_size=20)
         used = sorted({f.name for f in _subtrees(phi) if isinstance(f, Var)})
         if trial % 2 and used:
             phi = _unbind(phi, rng.choice(used))

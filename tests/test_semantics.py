@@ -8,10 +8,8 @@ from mugnn.graph import make_graph
 from mugnn.semantics import (
     Evaluator,
     SemanticsError,
-    adorn,
     evaluate,
     model_check_stable,
-    uniform,
 )
 
 from oracles import naive_evaluate, to_mask
@@ -47,6 +45,7 @@ def test_adorn_outer_top_inner_nested(g1):
     # the outer count unfolds mu X, the inner one mu Y, by hand on g1
     phi = well_name(parse("mu X.(p | mu Y.(X | <>Y))"))
     p = g1.prop_mask("p")
+    ev = Evaluator(g1)
 
     def by_hand(outer, inner):
         X = 0
@@ -59,35 +58,40 @@ def test_adorn_outer_top_inner_nested(g1):
 
     for outer in range(5):
         for inner in range(5):
-            assert evaluate(adorn(phi, outer, inner), g1) == by_hand(outer, inner)
-    assert evaluate(adorn(phi, 2, 0), g1) == p  # inner 0: mu Y is empty
-    assert evaluate(adorn(phi, 0, 2), g1) == 0  # outer 0: mu X is empty
-    assert evaluate(adorn(phi, 2, 2), g1) == 0b110
-    assert evaluate(adorn(phi, 2, 5), g1) == 0b111
+            assert ev.approx_chain(phi, outer, inner, {})[-1] == by_hand(outer, inner)
+    assert ev.approx_chain(phi, 2, 0, {})[-1] == p  # inner 0: mu Y is empty
+    assert ev.approx_chain(phi, 0, 2, {})[-1] == 0  # outer 0: mu X is empty
+    assert ev.approx_chain(phi, 2, 2, {})[-1] == 0b110
+    assert ev.approx_chain(phi, 2, 5, {})[-1] == 0b111
 
 
 def test_adorn_non_fixpoint_top(g1):
-    # nu X.<>X after j rounds: nodes with a path of j edges
+    # nu X.<>X after j rounds: nodes with a path of j edges; with no binder
+    # at the top, every fixpoint is iterated the same k times
     phi = parse("p | nu X.<>X")
-    assert evaluate(adorn(phi, 7, 2), g1) == evaluate(adorn(phi, 0, 2), g1) == 0b101
-    assert evaluate(adorn(phi, 7, 3), g1) == evaluate(uniform(phi, 3), g1) == 0b100
+    ev = Evaluator(g1)
+    assert ev.evaluate(phi, {}, 2) == 0b101
+    assert ev.evaluate(phi, {}, 3) == 0b100
 
 
 def test_adorn_zero(g1):
-    assert evaluate(adorn(parse("mu X.p"), 0, 3), g1) == 0
-    assert evaluate(adorn(parse("nu X.p"), 0, 3), g1) == g1.full_mask
-    assert evaluate(adorn(parse("mu X.p"), 1, 3), g1) == 0b100
+    ev = Evaluator(g1)
+    assert ev.approx_chain(parse("mu X.p"), 0, 3, {})[-1] == 0
+    assert ev.approx_chain(parse("nu X.p"), 0, 3, {})[-1] == g1.full_mask
+    assert ev.approx_chain(parse("mu X.p"), 1, 3, {})[-1] == 0b100
 
 
 def test_adorned_chain_fixture(g1, phi_reach):
-    assert evaluate(uniform(phi_reach, 1), g1) == 0b100
-    assert evaluate(uniform(phi_reach, 2), g1) == 0b110
-    assert evaluate(uniform(phi_reach, 3), g1) == 0b111
+    ev = Evaluator(g1)
+    assert ev.evaluate(phi_reach, {}, 1) == 0b100
+    assert ev.evaluate(phi_reach, {}, 2) == 0b110
+    assert ev.evaluate(phi_reach, {}, 3) == 0b111
 
 
 def test_adorned_base_cases(g1):
-    assert evaluate(adorn(parse("nu X.<>X"), 0, 0), g1) == g1.full_mask
-    assert evaluate(adorn(parse("mu X.<>X"), 0, 0), g1) == 0
+    ev = Evaluator(g1)
+    assert ev.approx_chain(parse("nu X.<>X"), 0, 0, {})[-1] == g1.full_mask
+    assert ev.approx_chain(parse("mu X.<>X"), 0, 0, {})[-1] == 0
 
 
 def test_adorned_unfolds_match_manual(g1, phi_reach):
@@ -95,7 +99,7 @@ def test_adorned_unfolds_match_manual(g1, phi_reach):
     ev = Evaluator(g1)
     S = 0
     for i in range(4):
-        assert evaluate(adorn(phi_reach, i, 4), g1) == S
+        assert ev.approx_chain(phi_reach, i, 4, {})[-1] == S
         S = ev.evaluate(phi_reach.body, {"X": S})
 
 
@@ -188,6 +192,7 @@ def test_chain_monotonicity():
         ev = Evaluator(G)
         k = G.n + 1
         chain = ev.approx_chain(phi, k, k, {})
+        assert chain[-1] == ev.evaluate(phi, {}, k)
         for a, b in zip(chain, chain[1:]):
             if isinstance(phi, Mu):
                 assert a & ~b == 0
@@ -214,4 +219,4 @@ def test_stability_preserved_upward():
         ev = Evaluator(G)
         mask, k = model_check_stable(phi, G)
         assert ev.stable_set(phi, {}, k + 1) == G.full_mask
-        assert ev.evaluate(uniform(phi, k), {}) == ev.evaluate(uniform(phi, k + 1), {})
+        assert ev.evaluate(phi, {}, k) == ev.evaluate(phi, {}, k + 1)
