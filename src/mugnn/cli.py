@@ -83,7 +83,7 @@ def _run_engine(idx, G, engine, max_steps=None):
     if engine == "oracle":
         return evaluate(phi, G), None, None
     if engine == "stable":
-        mask, k = model_check_stable(phi, G)
+        mask, k = model_check_stable(idx, G)
         return mask, k, None
     if engine == "counting":
         cfg, steps = run_counting(idx, G, max_steps=max_steps)
@@ -270,8 +270,8 @@ def trace(formula, graph, engine, max_steps):
 
 @main.command(name="gen-formula")
 @click.option("--seed", type=int, default=0)
-@click.option("--max-size", type=int, default=25)
-@click.option("--max-fixpoints", type=int, default=3)
+@click.option("--max-size", type=click.IntRange(min=1), default=25)
+@click.option("--max-fixpoints", type=click.IntRange(min=0), default=3)
 @click.option("--max-grade", type=click.IntRange(min=1), default=3)
 @click.option("--props", default="p,q,r", callback=_prop_names)
 def gen_formula_cmd(seed, max_size, max_fixpoints, max_grade, props):

@@ -2,8 +2,8 @@
 
 AST in negation normal form, a parser for the ASCII concrete syntax, a
 round-trip printer, deterministic renaming of bound variables, and the
-subformula index that the evaluator, the counting machine, and the
-compiler all share.
+subformula index, whose walk alone checks well-naming; `well_name` and
+`sentence`, which every sentence engine calls, build it once per formula.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, (AtLeast, AllBut, Mu, Nu)):
         return (f.body,)
     return ()
-
-
-def is_fixpoint(f: Formula) -> bool:
-    return isinstance(f, (Mu, Nu))
 
 
 def ast_size(f: Formula) -> int:
@@ -314,9 +310,9 @@ def well_name(phi: Formula) -> Formula:
     """Rename bound variables so each is bound once and none is also free.
 
     Deterministic: a clashing binder gets the smallest fresh integer suffix,
-    binders visited left to right.  A well-named formula is returned itself.
-    """
-    return phi if is_well_named(phi) else _rename(phi)
+    binders visited left to right.  A well-named formula is returned itself;
+    either way the result keeps its index (`_kept_index`)."""
+    return _kept_index(phi).root_formula
 
 
 def _rename(phi: Formula) -> Formula:
@@ -344,25 +340,6 @@ def _rename(phi: Formula) -> Formula:
         return f
 
     return go(phi, {})
-
-
-def _well_named(bound: list[str], free) -> bool:
-    """The rule, given every binder occurrence and the free variables: each
-    variable is bound once and none is also free."""
-    return len(set(bound)) == len(bound) and free.isdisjoint(bound)
-
-
-def is_well_named(phi: Formula) -> bool:
-    bound: list[str] = []
-
-    def go(f: Formula) -> None:
-        if isinstance(f, (Mu, Nu)):
-            bound.append(f.var)
-        for c in children(f):
-            go(c)
-
-    go(phi)
-    return _well_named(bound, free_vars(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +416,8 @@ class SubformulaIndex:
             return p
 
         self.root = visit(phi)
-        if not _well_named(bound, {x for x, s in first_seen.items() if free[self.root] >> s & 1}):
+        # well-named: each variable bound once, and none also free
+        if len(set(bound)) < len(bound) or any(free[self.root] >> first_seen[x] & 1 for x in bound):
             raise FormulaError("index requires a well-named formula")
         self.formulas: tuple[Formula, ...] = tuple(order)
         self.pos = pos
@@ -491,30 +469,33 @@ def index(phi: Formula) -> SubformulaIndex:
     return SubformulaIndex(phi)
 
 
+def _kept_index(phi: Formula) -> SubformulaIndex:
+    """The index of phi, well-named first if it has to be, built once: it is
+    stored on phi and, when phi had to be renamed, on the well-named root it
+    indexes, so a later call on either object returns it."""
+    try:
+        return phi._index
+    except AttributeError:
+        try:  # the index walk checks well-naming, so a well-named phi is walked once
+            idx = index(phi)
+        except FormulaError:
+            idx = index(_rename(phi))
+            object.__setattr__(idx.root_formula, "_index", idx)
+        object.__setattr__(phi, "_index", idx)
+        return idx
+
+
 def sentence(phi: str | Formula | SubformulaIndex) -> SubformulaIndex:
     """The index of a sentence given as text, a formula or an index: text is
     parsed, a formula well-named and indexed, and an index kept as it is.
 
-    A formula's index is built once and kept with it: it is stored on the
-    formula given and, when that had to be renamed, on the well-named root
-    it indexed, so a later call on either object returns it.  Only a caller
-    that passes the same formula object again gains; one that holds the
-    index can pass it instead.  Raises FormulaError on an open formula, on
-    every call."""
+    A formula's index is kept with it (`_kept_index`), so only a caller that
+    passes the same formula object again gains; one that holds the index can
+    pass it instead.  Raises FormulaError on an open formula, on every call."""
     if isinstance(phi, SubformulaIndex):
         idx = phi
     else:
-        if isinstance(phi, str):
-            phi = parse(phi)
-        try:
-            idx = phi._index
-        except AttributeError:
-            try:  # the index walk checks well-naming, so a well-named phi is walked once
-                idx = index(phi)
-            except FormulaError:
-                idx = index(_rename(phi))
-                object.__setattr__(idx.root_formula, "_index", idx)
-            object.__setattr__(phi, "_index", idx)
+        idx = _kept_index(parse(phi) if isinstance(phi, str) else phi)
     if not idx.is_sentence:
         raise FormulaError("a sentence (no free variables) is required")
     return idx

@@ -542,9 +542,10 @@ def _is_ints(values) -> bool:
 
 
 def gnn_from_json(data) -> RecurrentGnn:
-    """Rebuild a model from `gnn_to_json` output.  Raises GnnError if the
-    file is malformed, of another format, its formula is not the text of a sentence
-    over the layout's props, or its layout, width or indices do not belong to it."""
+    """Rebuild a model from `gnn_to_json` output.  Raises GnnError if the file is
+    malformed, of another format, its formula is not the text of a sentence over the
+    layout's props, a weight or bias is beyond MAX_WEIGHT, or its layout, width or
+    indices do not belong to it."""
     if not isinstance(data, dict):
         raise GnnError("model file is not a JSON object")
     if data.get("format") != MODEL_FORMAT:
@@ -587,6 +588,9 @@ def gnn_from_json(data) -> RecurrentGnn:
         cols = flat[0::2]
         if cols and (min(cols) < 0 or max(cols) >= first):
             raise GnnError(f"layer {li}: a column is not one of the {first} atoms before it")
+        values = flat[1::2] + bias
+        if values and (min(values) < -MAX_WEIGHT or max(values) > MAX_WEIGHT):
+            raise GnnError(f"layer {li}: a weight or bias beyond {MAX_WEIGHT} in magnitude")
         # Every row has even length, so the layer's flat list pairs up as a
         # whole; each row is then one slice of those pairs.
         it = iter(flat)

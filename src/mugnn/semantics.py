@@ -17,17 +17,15 @@ from .formula import (
     And,
     AtLeast,
     Formula,
-    FormulaError,
     Mu,
     NegProp,
     Nu,
     Or,
     Prop,
+    SubformulaIndex,
     Var,
     children,
-    free_vars,
-    is_fixpoint,
-    well_name,
+    sentence,
 )
 from .graph import LabeledGraph
 
@@ -55,8 +53,9 @@ class Evaluator:
             # from its children's entries, so that each is computed once
             kids = [self._entry(c) for c in children(f)]
             free = {f.name} if isinstance(f, Var) else set().union(*(e[0] for e in kids))
-            free.discard(f.var if is_fixpoint(f) else None)  # a binder's own variable
-            got = (tuple(sorted(free)), not is_fixpoint(f) and all(e[1] for e in kids), {}, {})
+            fixpoint = isinstance(f, (Mu, Nu))
+            free.discard(f.var if fixpoint else None)  # a binder's own variable
+            got = (tuple(sorted(free)), not fixpoint and all(e[1] for e in kids), {}, {})
             self._entries[f] = got
         return got
 
@@ -141,7 +140,7 @@ class Evaluator:
 
     def jk_stable_set(self, alpha: Formula, j: int, k: int, V: dict) -> int:
         """Nodes at which fixpoint alpha is (j,k)-stable; j=0 is vacuous."""
-        if not is_fixpoint(alpha):
+        if not isinstance(alpha, (Mu, Nu)):
             raise SemanticsError("(j,k)-stability is defined on fixpoint formulas")
         if k < 1:
             raise SemanticsError("stability requires k >= 1")
@@ -162,11 +161,10 @@ def evaluate(phi: Formula, G: LabeledGraph, V: dict | None = None) -> int:
     return Evaluator(G).evaluate(phi, V or {})
 
 
-def model_check_stable(phi: Formula, G: LabeledGraph) -> tuple[int, int]:
-    """Smallest k with phi k-stable at every node, and the k-approximation there."""
-    phi = well_name(phi)
-    if free_vars(phi):
-        raise FormulaError("model_check_stable requires a sentence")
+def model_check_stable(phi: str | Formula | SubformulaIndex, G: LabeledGraph) -> tuple[int, int]:
+    """Smallest k with phi k-stable at every node, and the k-approximation
+    there.  phi is whatever `sentence` accepts, and is well-named by it."""
+    phi = sentence(phi).root_formula
     ev = Evaluator(G)
     k = 1
     while True:

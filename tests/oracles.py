@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: fixpoints are found
 by enumerating candidate node sets, not by Kleene iteration, graded
 bisimilarity by searching bijections, and the counting step is restated
 clause by clause, so agreement is evidence rather than tautology.  Usable
-on small graphs only.
+on small graphs only.  `is_well_named` restates the well-naming rule that
+the library checks only inside its index walk.
 
 The reference step reads the index's order of subformulas and fixpoints,
 but derives every fact about a subformula from its tree (`tree_facts`), not
@@ -90,6 +91,18 @@ def to_mask(nodes):
     for i in nodes:
         out |= 1 << i
     return out
+
+
+def is_well_named(phi):
+    """Each variable bound once and none also free, read off the tree: the
+    reference for the check in the index walk."""
+    bound, stack = [], [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Mu, Nu)):
+            bound.append(f.var)
+        stack.extend(children(f))
+    return len(set(bound)) == len(bound) and free_vars(phi).isdisjoint(bound)
 
 
 # ---------------------------------------------------------------------------

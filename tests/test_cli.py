@@ -5,11 +5,13 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mugnn.cli import ENGINES, main
-from mugnn.formula import MAX_DEPTH
+from mugnn.formula import MAX_DEPTH, parse
 from mugnn.gnn import GnnError, compile_formula, gnn_to_json
 from mugnn.graph import graph_to_json
 
+from oracles import is_well_named
 from test_formula import TOO_DEEP
+from test_gnn import _set
 
 
 @pytest.fixture
@@ -268,9 +270,12 @@ def _dense_format(data):
         _dense_format,
         _format_2,
         lambda d: {**d, "formula": "mu X.(z | <>X)"},
+        _set(["layer", 0, "weights", 0, 1], 2**45),
+        _set(["layer", 0, "bias", 0], 2**70),
     ],
     ids=["formula-not-a-string", "layout-not-an-object", "layer-not-a-list",
-         "top-level-list", "dense-format-1", "format-2", "prop-outside-layout"],
+         "top-level-list", "dense-format-1", "format-2", "prop-outside-layout",
+         "coef-beyond-max-weight", "bias-beyond-int64"],
 )
 def test_run_malformed_model_exit_2(runner, tmp_path, g1_path, damage):
     data = gnn_to_json(compile_formula(REACH, props=["p", "q"]))
@@ -415,8 +420,6 @@ def test_gen_formula_deterministic(runner):
 
 
 def test_gen_formula_parses_back(runner):
-    from mugnn.formula import is_well_named, parse
-
     for seed in range(10):
         res = invoke(runner, "gen-formula", "--seed", str(seed))
         assert res.exit_code == 0
@@ -470,12 +473,19 @@ def test_compile_unwritable_path_exit_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args", [["gen-graph", "--max-nodes", "0"], ["gen-formula", "--max-grade", "0"]]
+    "args", [["gen-graph", "--max-nodes", "0"], ["gen-formula", "--max-grade", "0"],
+             ["gen-formula", "--max-size", "0"]]
 )
 def test_gen_bounds_below_one_exit_2(runner, args):
     res = invoke(runner, *args)
     assert res.exit_code == 2
     assert "not in the range x>=1" in res.output
+
+
+def test_gen_formula_negative_fixpoints_exit_2(runner):
+    res = invoke(runner, "gen-formula", "--max-fixpoints", "-1")
+    assert res.exit_code == 2
+    assert "not in the range x>=0" in res.output
 
 
 @pytest.mark.parametrize("props", [",", "P", "p,Q", "mu", "p q", ""])

@@ -20,7 +20,7 @@ from mugnn.counting import (
     trans2,
     trans3,
 )
-from mugnn.formula import index, parse, to_text, well_name
+from mugnn.formula import index, parse, sentence, to_text, well_name
 from mugnn.gen import random_formula, random_graph
 from mugnn.gnn import compile_formula, run_gnn
 from mugnn.graph import WIDE_GRAPH, mask_of
@@ -234,8 +234,10 @@ def test_a_formula_is_indexed_once_across_runs(monkeypatch, g1):
     real = mugnn.formula.index
     monkeypatch.setattr(mugnn.formula, "index", lambda phi: calls.append(phi) or real(phi))
     phi = parse("nu X.([2]X & mu Y.(q | <>Y))")
-    first, _ = run_counting(phi, g1)
+    model_check_stable(phi, g1)
     assert len(calls) == 1
+    assert well_name(phi) is phi
+    first, _ = run_counting(phi, g1)
     again, _ = run_counting(phi, g1)
     run_extended(phi, g1)
     compile_formula(phi)
@@ -250,7 +252,9 @@ def test_a_formula_is_indexed_once_across_runs(monkeypatch, g1):
 def test_model_check_stable_renames_clashing_binders(g1, text, k):
     # binders that clash are renamed before the stability scan
     phi = parse(text)
-    assert model_check_stable(phi, g1) == (evaluate(phi, g1), k)
+    expected = (evaluate(phi, g1), k)
+    assert model_check_stable(phi, g1) == expected
+    assert model_check_stable(text, g1) == model_check_stable(sentence(text), g1) == expected
 
 
 def test_no_repeat_within_k_phase(g1):

@@ -23,7 +23,6 @@ from mugnn.formula import (
     children,
     free_vars,
     index,
-    is_well_named,
     parse,
     sentence,
     to_text,
@@ -31,7 +30,7 @@ from mugnn.formula import (
 )
 from mugnn.gen import random_formula
 
-from oracles import tree_facts
+from oracles import is_well_named, tree_facts
 
 
 def test_parse_reach():

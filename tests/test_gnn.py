@@ -11,7 +11,7 @@ from mugnn.counting import (
     initial_configuration,
     run_extended,
 )
-from mugnn.formula import index, parse, to_text, well_name
+from mugnn.formula import AllBut, AtLeast, Prop, index, parse, to_text, well_name
 from mugnn.gen import path_graph, random_formula, random_graph
 from mugnn.gnn import (
     DecodeError,
@@ -231,6 +231,13 @@ def test_compile_rejects_open_formula():
 
     with pytest.raises(FormulaError):
         compile_formula(parse("X | p"))
+
+
+@pytest.mark.parametrize("clause", [AtLeast, AllBut])
+def test_compile_rejects_grade_beyond_max_weight(clause):
+    # a grade is a weight of the layer, and 2**41 is beyond MAX_WEIGHT = 2**40
+    with pytest.raises(GnnError, match="weight magnitude bound exceeded"):
+        compile_formula(clause(2**41, Prop("p")))
 
 
 def test_lockstep_simulation():
@@ -639,12 +646,15 @@ def _atoms(data):
         lambda data: _set(["layer", -1, "weights", 0], [_atoms(data), 1])(data),
         _set(["formula"], "mu X.(p | <>Y)"),
         _set(["formula"], "mu X.(z | <>X)"),
+        _set(["layer", 0, "weights", 0, 1], 2**45),
+        _set(["layer", 0, "bias", 0], 2**70),
     ],
     ids=["format-1", "formula-list", "layout-changed", "string-props", "dim", "out-index",
          "hlt-index", "layer-not-an-object", "bias-length", "row-not-a-list", "odd-row",
          "float-coef", "bool-coef", "first-layer-column-2dim", "negative-column",
          "output-width", "format-2", "own-level-atom", "later-level-atom",
-         "output-reads-past-atoms", "open-formula", "prop-outside-layout"],
+         "output-reads-past-atoms", "open-formula", "prop-outside-layout",
+         "coef-beyond-max-weight", "bias-beyond-int64"],
 )
 def test_malformed_model_json_rejected(g1, phi_reach, damage):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mugnn.formula import Mu, Nu, parse, well_name
+from mugnn.formula import FormulaError, Mu, Nu, parse, well_name
 from mugnn.gen import random_formula, random_graph
 from mugnn.graph import make_graph
 from mugnn.semantics import (
@@ -174,6 +174,11 @@ def test_model_check_stable_fixture(g1, phi_reach):
 
 def test_model_check_stable_fixpoint_free(g1):
     assert model_check_stable(parse("p & q"), g1) == (0b100, 1)
+
+
+def test_model_check_stable_rejects_open_formula(g1):
+    with pytest.raises(FormulaError, match="no free variables"):
+        model_check_stable(parse("mu X.(p | <>Y)"), g1)
 
 
 def test_model_check_stable_nu_single_node():
