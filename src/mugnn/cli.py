@@ -157,7 +157,7 @@ def compile_cmd(formula, out, props):
         save_gnn(gnn, out)
     except OSError as e:
         _fail(EXIT_PARSE, f"cannot write model: {e}")
-    click.echo(f"wrote model ({gnn.dim} features, {len(gnn.comb.layers)} layers) to {out}")
+    click.echo(f"wrote model ({gnn.dim} features, {len(gnn.comb.sizes)} layers) to {out}")
 
 
 @main.command()

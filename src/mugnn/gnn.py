@@ -34,6 +34,8 @@ from .graph import LabeledGraph
 from .rfnn import CircuitBuilder, Rfnn
 
 MAX_WEIGHT = 2**40
+_BEYOND_MAX_WEIGHT = f"weight magnitude bound exceeded: a weight or bias beyond {MAX_WEIGHT}"
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 
 class GnnError(ValueError):
@@ -187,8 +189,38 @@ def decode(
 # The compiled model
 
 
+def _check_network(comb: Rfnn, dim: int) -> None:
+    """Raises GnnError unless `comb` is a combine network over `dim`
+    coordinates: 2 * dim inputs and dim outputs, arrays of matching lengths,
+    every row reading only atoms before its own level, and no weight or bias
+    beyond MAX_WEIGHT in magnitude."""
+    sizes, nnz, cols, coefs, bias, n_in = comb
+    if n_in != 2 * dim:
+        raise GnnError(f"combine network reads {n_in} inputs, not {2 * dim}")
+    if not sizes or sizes[-1] != dim:
+        raise GnnError(f"combine network outputs {sizes[-1] if sizes else 0} values, not {dim}")
+    mismatch = GnnError("combine network arrays do not match in length")
+    if not len(nnz) == len(bias) == sum(sizes) or not len(cols) == len(coefs) == nnz.sum():
+        raise mismatch
+    try:  # the first atom of each entry's level
+        first = np.array([*accumulate(sizes[:-1], initial=n_in)]).repeat(sizes).repeat(nnz)
+    except ValueError:  # a count below zero
+        raise mismatch from None
+    bad = (cols < 0) | (cols >= first)
+    if bad.any():
+        e = bad.argmax()
+        raise GnnError(f"a combine row reads atom {cols[e]}, not one of the {first[e]} atoms "
+                       "before its level")
+    if (min(_MIN(coefs, initial=0), _MIN(bias, initial=0)) < -MAX_WEIGHT
+            or max(_MAX(coefs, initial=0), _MAX(bias, initial=0)) > MAX_WEIGHT):
+        raise GnnError(_BEYOND_MAX_WEIGHT)
+
+
 class RecurrentGnn:
     def __init__(self, formula_text: str, idx: SubformulaIndex, layout: FeatureLayout, comb: Rfnn):
+        """Raises GnnError unless `comb` is a combine network for `layout`
+        (`_check_network`)."""
+        _check_network(comb, layout.dim)
         self.formula_text, self.idx, self.layout, self.comb = formula_text, idx, layout, comb
 
     @property
@@ -210,15 +242,8 @@ class RecurrentGnn:
     @cached_property
     def program(self) -> LevelProgram:
         """The combine network compiled for runs: built on first use and then
-        kept with the model.  Raises GnnError if the network does not read
-        `2 * dim` inputs and write `dim` outputs."""
-        dim = self.dim
-        if self.comb.input_width != 2 * dim:
-            raise GnnError(f"combine network reads {self.comb.input_width} inputs, not {2 * dim}")
-        prog = LevelProgram(self.comb)
-        if prog.out_width != dim:
-            raise GnnError(f"combine network outputs {prog.out_width} values, not {dim}")
-        return prog
+        kept with the model."""
+        return LevelProgram(self.comb)
 
 
 def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> RecurrentGnn:
@@ -324,10 +349,10 @@ def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> Recurre
     ):
         for c, e in zip(coords, values):
             outputs[c] = e
-    comb = b.build(outputs)
-    for rows, bias in comb.layers:
-        if max(map(abs, chain(bias, (c for row in rows for _, c in row))), default=0) > MAX_WEIGHT:
-            raise GnnError("weight magnitude bound exceeded")
+    try:
+        comb = b.build(outputs)
+    except OverflowError:  # beyond int64, so beyond MAX_WEIGHT as well
+        raise GnnError(_BEYOND_MAX_WEIGHT) from None
 
     return RecurrentGnn(formula_text=to_text(idx.root_formula), idx=idx, layout=lay, comb=comb)
 
@@ -342,8 +367,9 @@ def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> Recurre
 
 
 class LevelProgram:
-    """An Rfnn compiled to one dense float64 matrix per level, over the atoms
-    that level reads in a buffer V of `n_atoms` rows and a column per sample.
+    """A combine network that `_check_network` accepts, compiled to one dense
+    float64 matrix per level, over the atoms that level reads in a buffer V
+    of `n_atoms` rows and a column per sample.
     Row a of V is atom a of the network, its inputs first, and the row after
     the last atom, all ones, is the one the biases multiply.
 
@@ -352,40 +378,18 @@ class LevelProgram:
     of |w|*alpha and |w|*beta over the atoms it reads.  That sum bounds every
     product and partial sum of the row in any order, so while it is <= 2**52
     (2**53 less a bit for the bound's own rounding) the integer arithmetic is
-    exact.  `max_input` is the largest such M.  Raises GnnError on malformed
-    levels, among them a row that reads an atom of its own level or a later
-    one."""
+    exact.  `max_input` is the largest such M."""
 
     def __init__(self, comb: Rfnn):
-        layers = comb.layers
-        if not layers:
-            raise GnnError("combine network has no layers")
-        try:
-            sizes = [len(W) for W, _ in layers]
-            if [len(b) for _, b in layers] != sizes:
-                raise ValueError("a layer has not one bias per row")
-            rows = tuple(chain.from_iterable(W for W, _ in layers))
-            nnz = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-            if set(map(len, chain.from_iterable(rows))) - {2}:
-                raise ValueError("a row entry is not a (column, coefficient) pair")
-            flat = chain.from_iterable(chain.from_iterable(rows))
-            pairs = np.fromiter(flat, dtype=np.int64, count=2 * nnz.sum())
-            bias = np.fromiter(chain.from_iterable(b for _, b in layers), np.int64, len(rows))
-        except (ValueError, TypeError, OverflowError) as e:
-            raise GnnError(f"combine network is malformed: {e}") from None
-        n_in, last = comb.input_width, len(layers) - 1
-        cols, coefs = pairs[0::2], pairs[1::2]
-        lo = n_in + np.cumsum([0] + sizes[:-1])  # the first atom of each level
+        sizes, n_in, last, n_rows = comb.sizes, comb.input_width, len(comb.sizes) - 1, len(comb.bias)
+        lo = n_in + np.cumsum((0, *sizes[:-1]))  # the first atom of each level
         lay = np.repeat(np.arange(last + 1), sizes)  # the level of each row
-        entry_row = np.repeat(np.arange(len(rows)), nnz)
-        if ((cols < 0) | (cols >= lo[lay[entry_row]])).any():
-            raise GnnError("a combine row reads an atom of its own level or a later one")
         self.n_atoms = lo[last] + 1
         # Entries (row, atom, weight), a bias as a weight on the ones row;
         # bincount sums two entries of a row on one atom.
-        r = np.concatenate([entry_row, np.arange(len(rows))])
-        a = np.concatenate([cols, np.full(len(rows), self.n_atoms - 1)])
-        w = np.concatenate([coefs, bias])
+        r = np.concatenate([np.repeat(np.arange(n_rows), comb.nnz), np.arange(n_rows)])
+        a = np.concatenate([comb.cols, np.full(n_rows, self.n_atoms - 1)])
+        w = np.concatenate([comb.coefs, comb.bias])
         r, a, w = r[w != 0], a[w != 0], w[w != 0]
         lv = lay[r]
         read = np.zeros((last + 1, self.n_atoms), dtype=bool)
@@ -430,9 +434,6 @@ class LevelProgram:
             dot(last, take(used_last, axis=0), out=out)
 
         return evaluate
-
-
-_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 
 
 class _Rounds:
@@ -519,33 +520,32 @@ def gnn_to_json(gnn: RecurrentGnn) -> dict:
     """The model file: each combine row is a flat [atom, coef, atom, coef, ...]
     list of its nonzero coefficients; atoms 0 .. 2*dim - 1 are the inputs and
     the rows of each level are the atoms after those of the level before."""
+    comb = gnn.comb
+    flat = np.empty(2 * len(comb.cols), np.int64)
+    flat[0::2], flat[1::2] = comb.cols, comb.coefs
+    flat = flat.tolist()
+    at = list(accumulate((2 * comb.nnz).tolist(), initial=0))  # where each row starts in flat
+    rows = [flat[a:b] for a, b in zip(at, at[1:])]
+    bias, ends = comb.bias.tolist(), list(accumulate(comb.sizes, initial=0))
     return {
         "format": MODEL_FORMAT,
         "dim": gnn.dim,
         "formula": gnn.formula_text,
         "layout": layout_to_json(gnn.layout),
         "layer": [
-            {
-                "rows": len(W),
-                "weights": [list(chain.from_iterable(row)) for row in W],
-                "bias": list(bias),
-            }
-            for W, bias in gnn.comb.layers
+            {"rows": b - a, "weights": rows[a:b], "bias": bias[a:b]}
+            for a, b in zip(ends, ends[1:])
         ],
         "hlt_index": gnn.hlt_index,
         "out_index": gnn.out_index,
     }
 
 
-def _is_ints(values) -> bool:
-    return isinstance(values, list) and set(map(type, values)) <= {int}
-
-
 def gnn_from_json(data) -> RecurrentGnn:
     """Rebuild a model from `gnn_to_json` output.  Raises GnnError if the file is
     malformed, of another format, its formula is not the text of a sentence over the
-    layout's props, a weight or bias is beyond MAX_WEIGHT, or its layout, width or
-    indices do not belong to it."""
+    layout's props, a layer's "rows" is not its row count, its combine network is not
+    one `_check_network` accepts, or its layout or indices do not belong to it."""
     if not isinstance(data, dict):
         raise GnnError("model file is not a JSON object")
     if data.get("format") != MODEL_FORMAT:
@@ -571,37 +571,30 @@ def gnn_from_json(data) -> RecurrentGnn:
         raise GnnError("layout does not match the formula")
     if not isinstance(data.get("layer"), list) or not data["layer"]:
         raise GnnError('"layer" is not a non-empty list')
-    layers = []
-    first = 2 * layout.dim  # the first atom of each level, after the inputs
+    rows, biases, sizes = [], [], []
     for li, layer in enumerate(data["layer"]):
         W = layer.get("weights") if isinstance(layer, dict) else None
         bias = layer.get("bias") if isinstance(layer, dict) else None
-        if not isinstance(W, list) or not _is_ints(bias) or len(bias) != len(W):
-            raise GnnError(f"layer {li} needs a weights list and as many int biases")
-        bad_row = f"layer {li}: a row is not an even-length list of ints"
-        if not set(map(type, W)) <= {list}:
-            raise GnnError(bad_row)
-        lens = list(map(len, W))
-        flat = list(chain.from_iterable(W))
-        if any(map((1).__and__, lens)) or not _is_ints(flat):
-            raise GnnError(bad_row)
-        cols = flat[0::2]
-        if cols and (min(cols) < 0 or max(cols) >= first):
-            raise GnnError(f"layer {li}: a column is not one of the {first} atoms before it")
-        values = flat[1::2] + bias
-        if values and (min(values) < -MAX_WEIGHT or max(values) > MAX_WEIGHT):
-            raise GnnError(f"layer {li}: a weight or bias beyond {MAX_WEIGHT} in magnitude")
-        # Every row has even length, so the layer's flat list pairs up as a
-        # whole; each row is then one slice of those pairs.
-        it = iter(flat)
-        pairs = tuple(zip(it, it))
-        ends = list(accumulate(n >> 1 for n in lens))
-        rows = tuple(map(pairs.__getitem__, map(slice, [0] + ends[:-1], ends)))
-        layers.append((rows, tuple(bias)))
-        first += len(W)
-    if len(W) != layout.dim:
-        raise GnnError(f"combine network outputs {len(W)} values, not {layout.dim}")
-    gnn = RecurrentGnn(text, idx, layout, Rfnn(tuple(layers), 2 * layout.dim))
+        if not isinstance(W, list) or not isinstance(bias, list) or len(bias) != len(W):
+            raise GnnError(f"layer {li} needs a weights list and as many biases")
+        if type(layer.get("rows")) is not int or layer["rows"] != len(W):
+            raise GnnError(f'layer {li}: "rows" is not its number of rows, {len(W)}')
+        rows += W
+        biases += bias
+        sizes.append(len(W))
+    if not set(map(type, rows)) <= {list}:
+        raise GnnError("a combine row is not a list")
+    lens = np.fromiter(map(len, rows), np.int64, len(rows))
+    values = [*chain.from_iterable(rows), *biases]
+    if (lens & 1).any() or not set(map(type, values)) <= {int}:  # not a bool, not a float
+        raise GnnError("a combine row is not an even-length list of ints, or a bias not an int")
+    try:
+        values = np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        raise GnnError("a column, weight or bias beyond 64 bits") from None
+    n = len(values) - len(biases)  # the row entries, then the biases
+    comb = Rfnn(tuple(sizes), lens >> 1, values[:n:2], values[1:n:2], values[n:], 2 * layout.dim)
+    gnn = RecurrentGnn(text, idx, layout, comb)
     if (data.get("hlt_index"), data.get("out_index")) != (gnn.hlt_index, gnn.out_index):
         raise GnnError("halt or output index does not match the formula")
     return gnn

@@ -1,11 +1,18 @@
 """Exact-arithmetic ReLU networks, stored as atom DAGs, and a circuit builder.
 
-An Rfnn reads `input_width` inputs, the atoms 0 .. input_width - 1.  Every
-entry of `layers` but the last is a level of ReLU atoms, numbered on from
-the last atom of the level before: each row is an integer affine form over
-atoms of earlier levels, inputs included, and its atom is the ReLU of that
-form.  The last entry holds the output rows, affine forms without a ReLU
-over any atom.  Rows are stored sparsely, as (atom, coefficient) pairs.
+An Rfnn reads `input_width` inputs, the atoms 0 .. input_width - 1.  Its rows
+come in levels, `sizes[i]` rows in level i.  Every level but the last is a
+level of ReLU atoms, numbered on from the last atom of the level before: each
+row is an integer affine form over atoms of earlier levels, inputs included,
+and its atom is the ReLU of that form.  The last level holds the output rows,
+affine forms without a ReLU over any atom.
+
+The whole network is one flat set of int64 arrays in compressed sparse row
+form, the rows of all levels in order: row r has `nnz[r]` entries, the next
+ones of `cols` (atoms, increasing within a row) and `coefs` (their nonzero
+coefficients), and the bias `bias[r]`.  The builder, the model file's loader
+and writer and the run's level program all read and write these arrays;
+only `rfnn_eval`, which is exact, and the `layers` view go through Python ints.
 
 The CircuitBuilder lets the compiler write arithmetic over named inputs
 (linear combinations plus explicit relu nodes, hash-consed) and emits every
@@ -15,17 +22,34 @@ deepest atom it reads.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
+
+import numpy as np
 
 
 class Rfnn(NamedTuple):
-    """`layers` is ((rows, bias), ...), one entry per level and the outputs
-    last.  A row is a tuple of (atom, coef) pairs: only nonzero
-    coefficients, in increasing atom order."""
+    """The network's flat arrays; see the module docstring.  The arrays make
+    `==` between two networks ambiguous: compare the fields instead."""
 
-    layers: tuple
+    sizes: tuple         # rows per level, the outputs last
+    nnz: np.ndarray      # entries per row
+    cols: np.ndarray     # the atom of each entry
+    coefs: np.ndarray    # the coefficient of each entry
+    bias: np.ndarray     # per row
     input_width: int
+
+    @property
+    def layers(self) -> tuple:
+        """The network as ((rows, bias), ...), one entry per level and the
+        outputs last, each row a tuple of (atom, coef) pairs: a view in
+        Python ints, built on each read.  Nothing in the package reads it;
+        `bench/run.py` counts the network's shape from it."""
+        pairs = list(zip(self.cols.tolist(), self.coefs.tolist()))
+        at = list(accumulate(self.nnz.tolist(), initial=0))
+        rows = [tuple(pairs[a:b]) for a, b in zip(at, at[1:])]
+        bias, ends = self.bias.tolist(), list(accumulate(self.sizes, initial=0))
+        return tuple((tuple(rows[a:b]), tuple(bias[a:b])) for a, b in zip(ends, ends[1:]))
 
 
 def rfnn_eval(f: Rfnn, x) -> list:
@@ -33,9 +57,13 @@ def rfnn_eval(f: Rfnn, x) -> list:
     v = list(x)
     if len(v) != f.input_width:
         raise ValueError(f"input width {len(v)}, network reads {f.input_width}")
-    last = len(f.layers) - 1
-    for li, (rows, b) in enumerate(f.layers):
-        z = [sum(c * v[j] for j, c in row) + bi for row, bi in zip(rows, b)]
+    cols, coefs, bias = f.cols.tolist(), f.coefs.tolist(), f.bias.tolist()
+    at = list(accumulate(f.nnz.tolist(), initial=0))  # row r's entries are at[r]:at[r + 1]
+    ends = list(accumulate(f.sizes, initial=0))  # level i's rows are ends[i]:ends[i + 1]
+    last = len(f.sizes) - 1
+    for li in range(last + 1):
+        z = [sum(c * v[j] for j, c in zip(cols[at[r]:at[r + 1]], coefs[at[r]:at[r + 1]])) + bias[r]
+             for r in range(ends[li], ends[li + 1])]
         if li == last:
             return z
         v += [max(0, a) for a in z]
@@ -143,20 +171,26 @@ class CircuitBuilder:
     # -- emit as an Rfnn
 
     def build(self, outputs: list[LinExpr]) -> Rfnn:
-        n_in = self.n_inputs
-        # Atoms are numbered level by level after the inputs.  A relu atom's
-        # deepest source is one level down, so no level is empty.
-        groups = [[] for _ in range(max(self.levels[n_in:], default=0))]
-        for a in range(n_in, len(self.levels)):
-            groups[self.levels[a] - 1].append(a)
-        atom = {a: i for i, a in enumerate(chain(range(n_in), *groups))}
-
-        def level(es):
-            rows = tuple(tuple(sorted((atom[a], c) for a, c in e.terms.items())) for e in es)
-            return rows, tuple(e.const for e in es)
-
-        exprs = [[self.relu_exprs[a - n_in] for a in g] for g in groups] + [outputs]
-        return Rfnn(tuple(map(level, exprs)), n_in)
+        """Raises OverflowError if a coefficient or constant is beyond int64."""
+        n_in, n_atoms = self.n_inputs, len(self.levels)
+        # Atoms are numbered level by level after the inputs, in the order
+        # they were made within a level.  A relu atom's deepest source is one
+        # level down, so no level is empty.
+        depth = np.array(self.levels[n_in:], dtype=np.int64)
+        made = np.argsort(depth, kind="stable")  # the relu atoms in level order
+        atom = np.arange(n_atoms)  # the number of each atom the builder made
+        atom[n_in + made] = np.arange(n_in, n_atoms)
+        exprs = [self.relu_exprs[i] for i in made.tolist()] + list(outputs)
+        terms = [e.terms for e in exprs]
+        nnz = np.fromiter(map(len, terms), np.int64, len(terms))
+        total = int(nnz.sum())
+        cols = atom[np.fromiter(chain.from_iterable(terms), np.int64, total)]
+        coefs = np.fromiter(chain.from_iterable(t.values() for t in terms), np.int64, total)
+        order = np.lexsort((cols, np.repeat(np.arange(len(terms)), nnz)))  # by row, then atom
+        return Rfnn(
+            (*np.bincount(depth - 1).tolist(), len(outputs)), nnz, cols[order], coefs[order],
+            np.fromiter((e.const for e in exprs), np.int64, len(exprs)), n_in,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,13 @@ def test_negative_budget_is_a_usage_error(runner, tmp_path, g1_path, args):
     assert "not in the range x>=0" in res.output
 
 
+def test_compile_reports_features_and_levels(runner, tmp_path):
+    model = str(tmp_path / "model.json")
+    res = invoke(runner, "compile", REACH, model)
+    assert res.exit_code == 0
+    assert res.output == f"wrote model (23 features, 8 layers) to {model}\n"
+
+
 def test_compile_then_run_matches_check(runner, tmp_path, g1_path):
     model = str(tmp_path / "model.json")
     res = invoke(runner, "compile", REACH, model, "--props", "p,q")
@@ -272,10 +279,16 @@ def _dense_format(data):
         lambda d: {**d, "formula": "mu X.(z | <>X)"},
         _set(["layer", 0, "weights", 0, 1], 2**45),
         _set(["layer", 0, "bias", 0], 2**70),
+        _set(["layer", 1, "weights", 0, 0], 2**70),
+        _set(["layer", 1, "weights", 0, 1], True),
+        _set(["layer", 1, "weights", 0, 1], 1.0),
+        _set(["layer", 2, "weights", 0], [0, 1, 2]),
+        lambda d: {**d, "layer": [{**layer, "rows": 99} for layer in d["layer"]]},
     ],
     ids=["formula-not-a-string", "layout-not-an-object", "layer-not-a-list",
          "top-level-list", "dense-format-1", "format-2", "prop-outside-layout",
-         "coef-beyond-max-weight", "bias-beyond-int64"],
+         "coef-beyond-max-weight", "bias-beyond-int64", "column-beyond-int64", "bool-coef",
+         "float-coef", "odd-row-in-a-later-layer", "rows-not-the-row-count"],
 )
 def test_run_malformed_model_exit_2(runner, tmp_path, g1_path, damage):
     data = gnn_to_json(compile_formula(REACH, props=["p", "q"]))
@@ -284,6 +297,7 @@ def test_run_malformed_model_exit_2(runner, tmp_path, g1_path, damage):
     res = invoke(runner, "run", str(bad), g1_path)
     assert res.exit_code == 2
     assert "cannot load model" in res.output
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"{"], ids=["not-utf8", "truncated"])

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mugnn.counting import (
     ExtendedConfiguration,
@@ -29,8 +30,9 @@ from mugnn.gnn import (
     save_gnn,
 )
 from mugnn.graph import make_graph
-from mugnn.rfnn import Rfnn, rfnn_eval
+from mugnn.rfnn import rfnn_eval
 from mugnn.semantics import evaluate
+from nets import from_pairs, replace_row, same_net
 
 
 def out_mask(out):
@@ -200,7 +202,7 @@ def reset_chain(m: int) -> str:
 
 
 def test_depth_does_not_grow_with_reset_chain():
-    depth = {m: len(compile_formula(reset_chain(m)).comb.layers) for m in (2, 5)}
+    depth = {m: len(compile_formula(reset_chain(m)).comb.sizes) for m in (2, 5)}
     assert depth[5] <= depth[2] + 1
 
 
@@ -210,9 +212,9 @@ def test_depth_does_not_grow_with_reset_chain():
 ])
 def test_compiled_size_does_not_rise(text, depth, rows):
     # levels and rows of the compiler that unrolled the reset closure
-    layers = compile_formula(text).comb.layers
-    assert len(layers) <= depth
-    assert sum(len(W) for W, _ in layers) <= rows
+    sizes = compile_formula(text).comb.sizes
+    assert len(sizes) <= depth
+    assert sum(sizes) <= rows
 
 
 def test_duplicate_props_compile_to_the_same_model(phi_reach):
@@ -330,7 +332,7 @@ def small_rfnns(draw, coef=3, max_layers=4):
             bias.append(b)
         layers.append((tuple(W), tuple(bias)))
         first += rows
-    return Rfnn(tuple(layers), n_in)
+    return from_pairs(tuple(layers), n_in)
 
 
 def eval_levels(net, samples):
@@ -367,10 +369,10 @@ def test_level_program_exact_up_to_proved_bound(net, data):
 def test_level_program_bound_values():
     # One row 3*x0 - 5*x1 + 7: alpha = 8 and beta = 7, so M* = (2**52 - 7) / 8.
     row = ((0, 3), (1, -5))
-    assert LevelProgram(Rfnn((((row,), (7,)),), 2)).max_input == (2**52 - 7) / 8
+    assert LevelProgram(from_pairs((((row,), (7,)),), 2)).max_input == (2**52 - 7) / 8
     # Levels compose: atom 1 = relu(2*x0) read with weight 3 and bias 1 gives (6, 1).
     hidden, out = (((0, 2),),), (((1, 3),),)
-    net = Rfnn(((hidden, (0,)), (out, (1,))), 1)
+    net = from_pairs(((hidden, (0,)), (out, (1,))), 1)
     assert LevelProgram(net).max_input == (2**52 - 1) / 6
 
 
@@ -379,7 +381,7 @@ def test_level_program_edge_rows():
     # must run; level 1 (atoms 5-7) copies ReLU atoms, has an all-zero row
     # with a bias and reads input 1 next to atom 2; the outputs copy atoms,
     # copy a raw input, have an all-zero row and read atoms of both levels.
-    net = Rfnn((
+    net = from_pairs((
         ((((0, 1),), ((1, 1),), ((0, 1), (1, -1))), (0, 0, 0)),
         ((((2, 1),), (), ((1, 2), (2, 1), (4, 1))), (0, 2, -1)),
         ((((5, 1),), ((6, 1),), (), ((1, 1),), ((2, 1), (5, 1), (6, 1), (7, -1))),
@@ -395,27 +397,26 @@ def _with_comb(gnn, comb):
     return RecurrentGnn(gnn.formula_text, gnn.idx, gnn.layout, comb)
 
 
-def _replace_row(comb, li, i, row):
-    W, bias = comb.layers[li]
-    layer = (W[:i] + (row,) + W[i + 1 :], bias)
-    return Rfnn(comb.layers[:li] + (layer,) + comb.layers[li + 1 :], comb.input_width)
-
-
 def test_malformed_combine_network_rejected(g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
     run_gnn(gnn, g1)  # the model's own program is built and kept
     comb = gnn.comb
-    level1 = comb.input_width + len(comb.layers[0][0])  # the first atom of level 1
+    level1 = comb.input_width + comb.sizes[0]  # the first atom of level 1
+    nnz = comb.nnz.copy()
+    nnz[:2] = -1, nnz[0] + nnz[1] + 1  # as many entries in all
     broken = [
-        Rfnn(comb.layers[:-1], comb.input_width),  # outputs the wrong width
-        _replace_row(comb, 0, 0, ((comb.input_width, 1),)),  # an atom of its own level
-        _replace_row(comb, 1, 0, ((level1 + 1, 1),)),  # an atom of its own level
-        _replace_row(comb, 0, 0, ((level1, 1),)),  # an atom of a later level
-        _replace_row(comb, 1, 0, ((-1, 1),)),  # negative column
-        _replace_row(comb, 1, 0, ((0, 1, 2),)),  # a triple, not a pair
-        _replace_row(comb, 1, 0, ((0, 1, 2), (3,))),  # a triple and a single
-        _replace_row(comb, 1, 0, (0, 1)),  # ints, not pairs
-        Rfnn(comb.layers, comb.input_width - 1),  # wrong input width
+        from_pairs(comb.layers[:-1], comb.input_width),  # outputs the wrong width
+        replace_row(comb, 0, 0, ((comb.input_width, 1),)),  # an atom of its own level
+        replace_row(comb, 1, 0, ((level1 + 1, 1),)),  # an atom of its own level
+        replace_row(comb, 0, 0, ((level1, 1),)),  # an atom of a later level
+        replace_row(comb, 1, 0, ((-1, 1),)),  # negative column
+        replace_row(comb, 1, 0, ((0, 2**41),)),  # a weight beyond MAX_WEIGHT
+        comb._replace(coefs=comb.coefs[:-1]),  # fewer coefficients than columns
+        comb._replace(nnz=comb.nnz + 1),  # more entries counted than there are
+        comb._replace(bias=comb.bias[:-1]),  # a row without a bias
+        comb._replace(nnz=nnz),  # an entry count below zero
+        comb._replace(sizes=(comb.sizes[0] + 1, *comb.sizes[1:])),  # more rows than biases
+        comb._replace(input_width=comb.input_width - 1),  # wrong input width
     ]
     for net in broken:
         with pytest.raises(GnnError):
@@ -459,12 +460,12 @@ def test_program_built_once_per_model(monkeypatch, g1, phi_reach):
     for before, after in zip(snaps, snaps[1:5]):
         assert apply_layer(gnn, g1, before) == after
     run_gnn(gnn, g1)
-    assert builds == [gnn.comb]
+    assert len(builds) == 1 and builds[0] is gnn.comb
     run_gnn(loaded, g1)
     assert len(builds) == 2
     # A copy with another network gets a program of its own.
     W, bias = gnn.comb.layers[-1]
-    comb = Rfnn(gnn.comb.layers[:-1] + ((W, bias[:-1] + (5,)),), gnn.comb.input_width)
+    comb = from_pairs(gnn.comb.layers[:-1] + ((W, bias[:-1] + (5,)),), gnn.comb.input_width)
     changed = _with_comb(gnn, comb)
     assert apply_layer(changed, g1, snaps[0])[0][-1] == 5
     assert len(builds) == 3 and builds[-1] is comb
@@ -544,7 +545,7 @@ def test_state_beyond_run_limit_raises():
     (W, bias), h = gnn.comb.layers[last], gnn.hlt_index
     assert bias[h] == 0
     row = tuple((c, w * 2**30) for c, w in W[h])
-    gnn = _with_comb(gnn, _replace_row(gnn.comb, last, h, row))
+    gnn = _with_comb(gnn, replace_row(gnn.comb, last, h, row))
     bound = LevelProgram(gnn.comb).max_input
     assert 2**10 < bound < 2**16
     x = ExtendedConfiguration(initial_configuration(gnn.idx, G, 1), frozenset())
@@ -586,7 +587,7 @@ def test_serialization_roundtrip(tmp_path, g1, phi_reach):
     path = tmp_path / "model.json"
     save_gnn(gnn, path)
     loaded = load_gnn(path)
-    assert loaded.comb == gnn.comb
+    assert same_net(loaded.comb, gnn.comb)
     assert loaded.layout == gnn.layout
     assert loaded.hlt_index == gnn.hlt_index and loaded.out_index == gnn.out_index
     out1, it1, _ = run_gnn(gnn, g1)
@@ -594,6 +595,54 @@ def test_serialization_roundtrip(tmp_path, g1, phi_reach):
     assert (out1, it1) == (out2, it2)
     # bit-exact JSON round trip
     assert gnn_to_json(gnn_from_json(gnn_to_json(gnn))) == gnn_to_json(gnn)
+
+
+@pytest.mark.parametrize("text, digest", [
+    ("mu X.(p | <>X)", "ffbf7ed9d704b9e3b7e0208909d6431d1487705b2036b0e959234bfb66fb6e7e"),
+    ("nu X.([2]X & mu Y.(q | <>Y))",
+     "7615b53d77f19255d39a893e1889a1d76d19fb55edd0e4e4fa50277f34c1bc2e"),
+    (reset_chain(4), "525715b60cbbd40f1d127a30499a1aa7da8d823190ca9ab33535d92783c4b5a9"),
+])
+def test_model_file_bytes_are_pinned(tmp_path, text, digest):
+    # The files `mugnn compile` writes for the three formulas CI compiles:
+    # a change to the builder, the writer or the compiler shows here.
+    path = tmp_path / "model.json"
+    save_gnn(compile_formula(text), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _program_arrays(prog):
+    return [prog.n_atoms, prog.out_width, prog.max_input, prog.input_read, *prog.last,
+            *(x for level in prog.hidden for x in level)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_save_load_save_is_byte_identical(tmp_path_factory, seed):
+    # The loaded network is the compiled one: the same file written again and
+    # the same level program, array for array.
+    rng = random.Random(seed)
+    gnn = compile_formula(random_formula(rng, max_fixpoints=3, max_size=16))
+    path = tmp_path_factory.mktemp("models") / "model.json"
+    save_gnn(gnn, path)
+    first = path.read_bytes()
+    loaded = load_gnn(path)
+    save_gnn(loaded, path)
+    assert path.read_bytes() == first
+    assert same_net(loaded.comb, gnn.comb)
+    want, got = _program_arrays(gnn.program), _program_arrays(loaded.program)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_layers_view_is_the_pair_rows(phi_reach):
+    # `Rfnn.layers` reads the arrays back as ((rows, bias), ...) pair rows,
+    # which `from_pairs` turns into the same network.
+    comb = compile_formula(phi_reach).comb
+    layers = comb.layers
+    assert [len(W) for W, _ in layers] == list(comb.sizes)
+    assert all(type(a) is int and type(c) is int for W, _ in layers for row in W for a, c in row)
+    assert same_net(from_pairs(layers, comb.input_width), comb)
 
 
 @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"{"], ids=["not-utf8", "truncated"])
@@ -648,13 +697,19 @@ def _atoms(data):
         _set(["formula"], "mu X.(z | <>X)"),
         _set(["layer", 0, "weights", 0, 1], 2**45),
         _set(["layer", 0, "bias", 0], 2**70),
+        _set(["layer", 1, "weights", 0, 0], 2**70),
+        _set(["layer", 2, "weights", 0], [0, 1, 2]),
+        _set(["layer", 1, "weights", 0], [True, 1]),
+        _set(["layer", 1, "weights", 0], [1.0, 1]),
+        lambda data: {**data, "layer": [{**layer, "rows": 99} for layer in data["layer"]]},
     ],
     ids=["format-1", "formula-list", "layout-changed", "string-props", "dim", "out-index",
          "hlt-index", "layer-not-an-object", "bias-length", "row-not-a-list", "odd-row",
          "float-coef", "bool-coef", "first-layer-column-2dim", "negative-column",
          "output-width", "format-2", "own-level-atom", "later-level-atom",
          "output-reads-past-atoms", "open-formula", "prop-outside-layout",
-         "coef-beyond-max-weight", "bias-beyond-int64"],
+         "coef-beyond-max-weight", "bias-beyond-int64", "column-beyond-int64",
+         "odd-row-in-a-later-layer", "bool-column", "float-column", "rows-not-the-row-count"],
 )
 def test_malformed_model_json_rejected(g1, phi_reach, damage):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))

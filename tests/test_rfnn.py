@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mugnn.rfnn import (
     CircuitBuilder,
-    Rfnn,
     and_net,
     clip_net,
     geq_net,
@@ -15,6 +15,7 @@ from mugnn.rfnn import (
     or_net,
     rfnn_eval,
 )
+from nets import from_pairs, same_net
 
 
 def clip_ref(x):
@@ -22,7 +23,7 @@ def clip_ref(x):
 
 
 def test_identity_network():
-    ident = Rfnn(layers=(((((0, 1),), ((1, 1),)), (0, 0)),), input_width=2)
+    ident = from_pairs((((((0, 1),), ((1, 1),)), (0, 0)),), input_width=2)
     assert rfnn_eval(ident, [3, -4]) == [3, -4]
 
 
@@ -101,7 +102,7 @@ def test_builder_reads_raw_input_after_relu():
     b = CircuitBuilder(1)
     x = b.inp(0)
     net = b.build([b.relu(b.relu(x) - 1) + x])
-    assert len(net.layers) == 3
+    assert len(net.sizes) == 3
     for v in range(-5, 6):
         assert rfnn_eval(net, [v]) == [max(0, max(0, v) - 1) + v]
 
@@ -115,11 +116,11 @@ def test_builder_emits_atom_dag():
     s = b.relu(x0 + x1)
     t = b.relu(s - x1)
     net = b.build([t + s - x1 + 3])
-    assert net == Rfnn((
+    assert same_net(net, from_pairs((
         ((((0, 1), (1, 1)),), (0,)),
         ((((1, -1), (2, 1)),), (0,)),
         ((((1, -1), (2, 1), (3, 1)),), (3,)),
-    ), 2)
+    ), 2))
     for v0 in range(-3, 4):
         for v1 in range(-3, 4):
             su = max(0, v0 + v1)
@@ -130,6 +131,7 @@ def test_builder_integer_weights_only():
     b = CircuitBuilder(3)
     out = b.band(b.inp(0), b.bor(b.inp(1), b.inp(2)))
     net = b.build([out, b.clip(b.inp(0) + b.inp(1))])
+    assert net.nnz.dtype == net.cols.dtype == net.coefs.dtype == net.bias.dtype == np.int64
     for W, bias in net.layers:
         assert all(isinstance(w, int) for row in W for _, w in row)
         assert all(isinstance(w, int) for w in bias)
