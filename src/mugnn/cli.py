@@ -11,17 +11,10 @@ import time
 
 import click
 
-from .counting import SafeguardExceeded, initial_configuration, run_counting, run_extended
+from .counting import SafeguardExceeded, run_counting, run_extended
 from .formula import FormulaError, Prop, parse, sentence, to_text
 from .gen import random_formula, random_graph
-from .gnn import (
-    GnnError,
-    compile_formula,
-    decode,
-    load_gnn,
-    run_gnn,
-    save_gnn,
-)
+from .gnn import GnnError, compile_formula, load_gnn, run_gnn, save_gnn
 from .graph import GraphError, graph_to_json, load_graph, mask_of
 from .semantics import evaluate, model_check_stable
 
@@ -245,8 +238,9 @@ def _summary(kind, cfg, D, step):
 @click.option("--engine", type=click.Choice(("counting", "extended", "gnn")), default="counting")
 @click.option("--max-steps", type=click.IntRange(min=0), default=None)
 def trace(formula, graph, engine, max_steps):
-    """Stream one JSON line per step of the chosen engine; the gnn engine's
-    lines come after its run."""
+    """Stream one JSON line per step of the chosen engine as it happens: per
+    transition for counting, per extended step for extended, and per round,
+    decoded, for gnn."""
     idx, G = _load(formula, graph)
     steps = itertools.count()
 
@@ -258,14 +252,9 @@ def trace(formula, graph, engine, max_steps):
     elif engine == "extended":
         run_extended(idx, G, on_config=lambda kind, x: echo(kind, x.config, x.D),
                      max_steps=max_steps)
-    else:  # the snapshots of a whole run, decoded after it
-        gnn = compile_formula(idx, props=G.props)
-        for vecs in run_gnn(gnn, G, max_steps=max_steps, want_trace=True)[2]:
-            if G.n:
-                x = decode(vecs, gnn.layout, gnn.idx, G)
-                echo("gnn", x.config, x.D)
-            else:  # no column to decode: the one snapshot is the start state
-                echo("gnn", initial_configuration(gnn.idx, G, 1))
+    else:
+        run_gnn(compile_formula(idx, props=G.props), G,
+                on_config=lambda kind, x: echo("gnn", x.config, x.D), max_steps=max_steps)
 
 
 @main.command(name="gen-formula")

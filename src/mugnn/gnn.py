@@ -91,7 +91,7 @@ def layout_to_json(lay: FeatureLayout) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Encoding extended configurations as per-node vectors
+# Encoding extended configurations as states
 #
 # A state is one (dim x n) int array with a row per coordinate and a column
 # per node.  The props and the node masks V, T, R and S are bit rows; k, C
@@ -120,13 +120,17 @@ def _masks(rows: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-def _tuples(X: np.ndarray) -> tuple:
-    """The columns of a (dim x n) state as per-node tuples of Python ints."""
-    return tuple(map(tuple, X.T.astype(np.int64).tolist()))
+def _check_state(X, dim: int, n: int, error: type[GnnError]) -> None:
+    """Raises `error` unless X is a state: an int array of shape (dim, n)."""
+    if not isinstance(X, np.ndarray) or X.dtype.kind not in "iu" or X.ndim != 2 or len(X) != dim:
+        raise error(f"the state is not an int array of {dim} rows")
+    if X.shape[1] != n:
+        raise error(f"node count mismatch: {X.shape[1]} columns for {n} nodes")
 
 
-def _encode(x: ExtendedConfiguration, lay: FeatureLayout) -> np.ndarray:
-    cfg = x.config
+def encode(x: ExtendedConfiguration, layout: FeatureLayout) -> np.ndarray:
+    """x as a (dim x n) int64 state: column n is node n's slice of x."""
+    lay, cfg = layout, x.config
     idx, G = cfg.idx, cfg.G
     X = np.zeros((lay.dim, G.n), dtype=np.int64)
     masks = [*map(G.prop_mask, lay.props), *cfg.V, *cfg.T, *cfg.R, *cfg.S]
@@ -139,27 +143,18 @@ def _encode(x: ExtendedConfiguration, lay: FeatureLayout) -> np.ndarray:
     return X
 
 
-def encode(x: ExtendedConfiguration, layout: FeatureLayout) -> tuple:
-    """x as per-node vectors: node n's vector is its slice of x."""
-    return _tuples(_encode(x, layout))
-
-
 def decode(
-    vectors, layout: FeatureLayout, idx: SubformulaIndex, G: LabeledGraph
+    X: np.ndarray, layout: FeatureLayout, idx: SubformulaIndex, G: LabeledGraph
 ) -> ExtendedConfiguration:
-    """The extended configuration whose encoding is `vectors`.  Raises
-    DecodeError unless there is one vector of `dim` ints per node, every
-    global row is equal across nodes, k >= 1, every bit row is 0 or 1 and
-    the pad row is all 1."""
+    """The extended configuration whose encoding is the state X.  Raises
+    DecodeError unless X is an int array of shape (dim, G.n) with G.n > 0,
+    every global row is equal across nodes, k >= 1, every bit row is 0 or 1
+    and the pad row is all 1."""
     lay = layout
-    if len(vectors) != G.n:
-        raise DecodeError("node count mismatch")
+    _check_state(X, lay.dim, G.n, DecodeError)
     if G.n == 0:
         raise DecodeError("cannot decode an empty graph")
-    X = np.array(vectors)
-    if X.shape != (G.n, lay.dim) or X.dtype.kind not in "biu":
-        raise DecodeError(f"the vectors are not {lay.dim} machine ints per node")
-    X, glob = X.T, _global_rows(lay)
+    glob = _global_rows(lay)
     split = (X[glob] != X[glob, :1]).any(axis=1)
     if split.any():
         row = glob[split.argmax()]
@@ -413,7 +408,6 @@ class LevelProgram:
         self.last = (M, used)
         AB = np.concatenate([AB, ab])  # and the outputs
         self.input_read = read[:, :n_in].any(axis=0)
-        self.out_width = sizes[-1]
         with np.errstate(divide="ignore", invalid="ignore"):  # alpha = 0: no limit
             self.max_input = float(np.fmin.reduce((2.0**52 - AB[:, 1]) / AB[:, 0]))
 
@@ -472,41 +466,45 @@ class _Rounds:
         self.check()
 
 
-def apply_layer(gnn: RecurrentGnn, G: LabeledGraph, vectors):
-    """One synchronous round on per-node vectors: every node combines (own,
-    neighbor-sum)."""
-    rounds = _Rounds(gnn, G, np.array(vectors, dtype=np.float64).reshape(G.n, gnn.dim).T)
+def apply_layer(gnn: RecurrentGnn, G: LabeledGraph, X: np.ndarray) -> np.ndarray:
+    """One synchronous round on the state X: every node combines (own,
+    neighbor-sum).  Raises GnnError unless X is an int array of shape
+    (dim, G.n)."""
+    _check_state(X, gnn.dim, G.n, GnnError)
+    rounds = _Rounds(gnn, G, X)
     rounds.step()
-    return _tuples(rounds.X)
+    return rounds.X.astype(np.int64)
 
 
-def run_gnn(
-    gnn: RecurrentGnn,
-    G: LabeledGraph,
-    max_steps: int | None = None,
-    want_trace: bool = False,
-):
+def run_gnn(gnn: RecurrentGnn, G: LabeledGraph, on_config=None, max_steps: int | None = None):
     """Run from the encoding of the initial configuration at k = 1 to the
-    first round where every node's halt coordinate is positive."""
+    first round where every node's halt coordinate is positive, and return
+    (out, rounds, the final (dim x n) int64 state).
+
+    on_config, when given, is called as on_config("init", x0) with the
+    initial extended configuration and as on_config("round", x) with the
+    decoded state after every round.
+    """
     if tuple(G.props) != gnn.props:
         raise GnnError(
             f"graph universe {list(G.props)} does not match model universe {list(gnn.props)}"
         )
-    limit = max_steps if max_steps is not None else safeguard(gnn.idx, G) + 1
+    limit = max_steps if max_steps is not None else safeguard(gnn.idx, G)
     x0 = ExtendedConfiguration(initial_configuration(gnn.idx, G, 1), frozenset())
-    rounds = _Rounds(gnn, G, _encode(x0, gnn.layout))
-    trace = [_tuples(rounds.X)] if want_trace else None
+    rounds = _Rounds(gnn, G, encode(x0, gnn.layout))
+    if on_config:
+        on_config("init", x0)
     halt = rounds.X[gnn.hlt_index]
     iters = 0
     while _MIN(halt, initial=1.0) <= 0:  # some node has not halted
         if iters >= limit:
             raise SafeguardExceeded(f"GNN run exceeded {limit} iterations")
         rounds.step()
-        if want_trace:
-            trace.append(_tuples(rounds.X))
         iters += 1
+        if on_config:
+            on_config("round", decode(rounds.X.astype(np.int64), gnn.layout, gnn.idx, G))
     out = (rounds.X[gnn.out_index] > 0).tolist()
-    return out, iters, trace
+    return out, iters, rounds.X.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -388,9 +388,24 @@ def test_trace_on_empty_graph(runner, tmp_path):
         res = invoke(runner, "trace", REACH, str(path), "--engine", engine)
         assert res.exit_code == 0, res.output
         lines[engine] = [json.loads(line) for line in res.output.splitlines()]
-    # the GNN run halts at once: its one snapshot is the start state
+    # the GNN run halts at once: its one line is the start state
     (only,) = lines["gnn"]
     assert only["kind"] == "gnn" and {**only, "kind": "init"} == lines["counting"][0]
+    assert {**only, "kind": "init"} == lines["extended"][0]
+
+
+def _without_kind(output):
+    return [{k: v for k, v in json.loads(line).items() if k != "kind"}
+            for line in output.splitlines()]
+
+
+def test_trace_gnn_equals_extended_without_kind(runner, g1_path):
+    # a round is one extended step, decoded
+    gnn = invoke(runner, "trace", REACH, g1_path, "--engine", "gnn")
+    ext = invoke(runner, "trace", REACH, g1_path, "--engine", "extended")
+    assert gnn.exit_code == ext.exit_code == 0
+    assert _without_kind(gnn.output) == _without_kind(ext.output)
+    assert len(gnn.output.splitlines()) > 1
 
 
 def test_trace_gnn_prints_no_floats(runner, g1_path):
@@ -423,6 +438,18 @@ def test_gnn_error_exit_2(runner, tmp_path, g1_path, monkeypatch, command):
 def test_trace_safeguard_exit_4(runner, g1_path):
     res = invoke(runner, "trace", REACH, g1_path, "--max-steps", "2")
     assert res.exit_code == 4
+
+
+def test_trace_streams_before_safeguard_exit_4(runner, g1_path):
+    # the lines of the steps taken come out before the run stops
+    lines = {}
+    for engine in ("extended", "gnn"):
+        res = invoke(runner, "trace", REACH, g1_path, "--engine", engine, "--max-steps", "2")
+        assert res.exit_code == 4
+        assert "run exceeded 2" in res.stderr
+        lines[engine] = _without_kind(res.stdout)
+        assert len(lines[engine]) == 3
+    assert lines["gnn"] == lines["extended"]
 
 
 def test_gen_formula_deterministic(runner):

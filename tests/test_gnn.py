@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mugnn.counting import (
     ExtendedConfiguration,
+    SafeguardExceeded,
     etrans_step,
     initial_configuration,
     run_extended,
@@ -49,6 +50,16 @@ def random_reachable_ext(rng, phi, G, steps=None):
     return x
 
 
+def run_states(gnn, G):
+    """(out, rounds, states) of a run, the states read through `on_config`:
+    the initial state, then each round's, decoded and encoded again."""
+    states = []
+    out, iters, last = run_gnn(
+        gnn, G, on_config=lambda kind, x: states.append(encode(x, gnn.layout)))
+    assert len(states) == iters + 1 and np.array_equal(states[-1], last)
+    return out, iters, states
+
+
 def test_every_hidden_atom_is_read_by_a_later_row():
     # The builder emits every ReLU atom the compiler asked for, so the
     # compiler must ask for none that no later row reads.
@@ -78,10 +89,15 @@ def test_encode_initial(g1, phi_reach):
         gnn = compile_formula(phi, props=G.props)
         lay, idx = gnn.layout, gnn.idx
         x = ExtendedConfiguration(initial_configuration(idx, G, 1), frozenset())
-        vecs = encode(x, lay)
-        assert run_gnn(gnn, G, want_trace=True)[2][0] == vecs
+        X = encode(x, lay)
+        seen = []
+        run_gnn(gnn, G, on_config=lambda kind, y: seen.append(y))
+        assert seen[0] == x
+        if len(seen) > 1:  # the first round is one layer from the encoding of x
+            assert decode(apply_layer(gnn, G, X), lay, idx, G) == seen[1]
         nu = [idx.nu >> i & 1 for i in range(idx.n_fp)]
-        for labels, v in zip(G.labels, vecs):
+        assert X.shape == (lay.dim, G.n)
+        for labels, v in zip(G.labels, X.T.tolist()):
             assert [v[c] for c in lay.prop_coord] == [int(p in labels) for p in lay.props]
             assert [v[c] for c in lay.v_coord] == nu
             assert [v[c] for c in lay.t_coord] == [1] * idx.n_fp
@@ -112,8 +128,8 @@ def encode_per_coordinate(x, lay):
             v[lay.s_coord[p]] = cfg.S[p] >> n & 1
         v[lay.pad_coord] = 1
         v[lay.halt_coord] = (cfg.F >> idx.root & 1) & (cfg.S[idx.root] >> n & 1) & (not x.D)
-        vectors.append(tuple(v))
-    return tuple(vectors)
+        vectors.append(v)
+    return np.array(vectors, dtype=np.int64).reshape(G.n, lay.dim).T
 
 
 def test_encode_decode_roundtrip_random():
@@ -123,42 +139,47 @@ def test_encode_decode_roundtrip_random():
         G = random_graph(rng, max_nodes=5)
         gnn = compile_formula(phi, props=G.props)
         x = random_reachable_ext(rng, phi, G)
-        vecs = encode(x, gnn.layout)
-        assert vecs == encode_per_coordinate(x, gnn.layout)
-        assert decode(vecs, gnn.layout, gnn.idx, G) == x
+        X = encode(x, gnn.layout)
+        assert X.dtype == np.int64
+        assert np.array_equal(X, encode_per_coordinate(x, gnn.layout))
+        assert decode(X, gnn.layout, gnn.idx, G) == x
 
 
 def test_decode_rejects_global_disagreement(g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
     x = ExtendedConfiguration(initial_configuration(gnn.idx, g1, 1), frozenset())
-    vecs = [list(v) for v in encode(x, gnn.layout)]
-    vecs[1][gnn.layout.k_coord] = 2
+    X = encode(x, gnn.layout)
+    X[gnn.layout.k_coord, 1] = 2
     with pytest.raises(DecodeError):
-        decode(vecs, gnn.layout, gnn.idx, g1)
+        decode(X, gnn.layout, gnn.idx, g1)
 
 
 def test_decode_rejects_non_boolean(g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
     x = ExtendedConfiguration(initial_configuration(gnn.idx, g1, 1), frozenset())
-    vecs = [list(v) for v in encode(x, gnn.layout)]
-    vecs[0][gnn.layout.r_coord[0]] = 2
+    X = encode(x, gnn.layout)
+    X[gnn.layout.r_coord[0], 0] = 2
     with pytest.raises(DecodeError):
-        decode(vecs, gnn.layout, gnn.idx, g1)
+        decode(X, gnn.layout, gnn.idx, g1)
 
 
 def test_decode_rejects_bad_pad_and_node_count(g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
     x = ExtendedConfiguration(initial_configuration(gnn.idx, g1, 1), frozenset())
-    vecs = [list(v) for v in encode(x, gnn.layout)]
-    assert decode(vecs, gnn.layout, gnn.idx, g1) == x
+    X = encode(x, gnn.layout)
+    assert decode(X, gnn.layout, gnn.idx, g1) == x
     for pad in (0, 2, -1):
-        bad = [v[:] for v in vecs]
-        bad[2][gnn.layout.pad_coord] = pad
+        bad = X.copy()
+        bad[gnn.layout.pad_coord, 2] = pad
         with pytest.raises(DecodeError, match="pad"):
             decode(bad, gnn.layout, gnn.idx, g1)
-    for count in (vecs[:2], vecs + vecs[:1], []):
+    for count in (X[:, :2], np.concatenate([X, X[:, :1]], axis=1), X[:, :0]):
         with pytest.raises(DecodeError, match="node count"):
             decode(count, gnn.layout, gnn.idx, g1)
+    # per-node vectors, a float array and the transpose are not states
+    for other in (tuple(map(tuple, X.T.tolist())), X.astype(np.float64), X.T):
+        with pytest.raises(DecodeError, match="not an int array"):
+            decode(other, gnn.layout, gnn.idx, g1)
 
 
 def test_compile_atom(g1):
@@ -253,18 +274,30 @@ def test_lockstep_simulation():
         for _ in range(esteps):
             got = apply_layer(gnn, G, encode(x, gnn.layout))
             x = etrans_step(x)
-            assert got == encode(x, gnn.layout)
+            assert np.array_equal(got, encode(x, gnn.layout))
 
 
 def test_trace_decodes_to_extended_run(g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
-    _, iters, snaps = run_gnn(gnn, g1, want_trace=True)
+    calls = []
+    _, iters, X = run_gnn(gnn, g1, on_config=lambda kind, x: calls.append((kind, x)))
     xs = []
     run_extended(phi_reach, g1, on_config=lambda kind, x: xs.append(x))
-    assert len(snaps) == iters + 1
-    assert len(xs) == len(snaps)
-    for snap, x in zip(snaps, xs):
-        assert decode(snap, gnn.layout, gnn.idx, g1) == x
+    assert [kind for kind, _ in calls] == ["init"] + ["round"] * iters
+    assert len(xs) == len(calls)
+    assert [x for _, x in calls] == xs
+    assert decode(X, gnn.layout, gnn.idx, g1) == xs[-1]
+
+
+def test_final_state_decodes_to_extended_result():
+    rng = random.Random(57)
+    for _ in range(50):
+        phi = random_formula(rng, max_size=14)
+        G = random_graph(rng, max_nodes=8)
+        gnn = compile_formula(phi, props=G.props)
+        X = run_gnn(gnn, G)[2]
+        assert X.dtype == np.int64 and X.shape == (gnn.dim, G.n)
+        assert decode(X, gnn.layout, gnn.idx, G) == run_extended(phi, G)[0]
 
 
 # Nodes 1, 4 and 5 are sinks; 0 and 3 have self-loops.
@@ -298,12 +331,12 @@ def test_numpy_path_matches_exact_eval():
         randoms = [random_formula(rng, props=G.props, max_size=12) for _ in range(6)]
         for phi in SENTENCES + randoms:
             gnn = compile_formula(phi, props=G.props)
-            _, iters, snaps = run_gnn(gnn, G, want_trace=True)
-            assert len(snaps) == iters + 1
-            for snap, nxt in zip(snaps, snaps[1:]):
+            _, _, states = run_states(gnn, G)
+            for X, nxt in zip(states, states[1:]):
                 for n in range(G.n):
-                    sums = tuple(sum(snap[m][i] for m in G.adj[n]) for i in range(gnn.dim))
-                    assert tuple(rfnn_eval(gnn.comb, snap[n] + sums)) == nxt[n]
+                    sums = X[:, G.adj[n]].sum(axis=1)
+                    got = rfnn_eval(gnn.comb, [*X[:, n].tolist(), *sums.tolist()])
+                    assert got == nxt[:, n].tolist()
 
 
 @st.composite
@@ -340,7 +373,7 @@ def eval_levels(net, samples):
     V = np.zeros((prog.n_atoms, len(samples)))
     V[: net.input_width] = np.array(samples, dtype=np.float64).T
     V[-1] = 1  # the ones row
-    out = np.empty((prog.out_width, len(samples)))
+    out = np.empty((net.sizes[-1], len(samples)))
     prog.bind(V, out)()
     return out.T.tolist()
 
@@ -456,9 +489,9 @@ def test_program_built_once_per_model(monkeypatch, g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
     loaded = gnn_from_json(gnn_to_json(gnn))
     assert builds == []  # compiling and loading do not build it
-    _, _, snaps = run_gnn(gnn, g1, want_trace=True)
-    for before, after in zip(snaps, snaps[1:5]):
-        assert apply_layer(gnn, g1, before) == after
+    _, _, states = run_states(gnn, g1)
+    for before, after in zip(states, states[1:5]):
+        assert np.array_equal(apply_layer(gnn, g1, before), after)
     run_gnn(gnn, g1)
     assert len(builds) == 1 and builds[0] is gnn.comb
     run_gnn(loaded, g1)
@@ -467,7 +500,7 @@ def test_program_built_once_per_model(monkeypatch, g1, phi_reach):
     W, bias = gnn.comb.layers[-1]
     comb = from_pairs(gnn.comb.layers[:-1] + ((W, bias[:-1] + (5,)),), gnn.comb.input_width)
     changed = _with_comb(gnn, comb)
-    assert apply_layer(changed, g1, snaps[0])[0][-1] == 5
+    assert apply_layer(changed, g1, states[0])[-1, 0] == 5
     assert len(builds) == 3 and builds[-1] is comb
 
 
@@ -483,9 +516,9 @@ def test_edge_index_built_once_per_graph(monkeypatch, g1, phi_reach):
 
     monkeypatch.setattr(graph_mod, "EdgeIndex", Counted)
     gnn = compile_formula(phi_reach, props=g1.props)
-    _, _, snaps = run_gnn(gnn, g1, want_trace=True)
-    for before, after in zip(snaps, snaps[1:5]):
-        assert apply_layer(gnn, g1, before) == after
+    _, _, states = run_states(gnn, g1)
+    for before, after in zip(states, states[1:5]):
+        assert np.array_equal(apply_layer(gnn, g1, before), after)
     assert builds == [g1.adj]
     # An equal graph built anew gets an index of its own.
     copy = make_graph(g1.props, g1.node_ids, g1.labels, [(0, 1), (1, 2)])
@@ -499,12 +532,13 @@ def test_trace_with_sinks_and_self_loops(text):
     G = SINKS_AND_LOOPS
     phi = well_name(parse(text))
     gnn = compile_formula(phi, props=G.props)
-    out, iters, snaps = run_gnn(gnn, G, want_trace=True)
+    seen = []
+    out, iters, X = run_gnn(gnn, G, on_config=lambda kind, x: seen.append(x))
     xs = []
     run_extended(phi, G, on_config=lambda kind, x: xs.append(x))
-    assert len(snaps) == len(xs) == iters + 1
-    for snap, x in zip(snaps, xs):
-        assert decode(snap, gnn.layout, gnn.idx, G) == x
+    assert len(seen) == len(xs) == iters + 1
+    assert seen == xs
+    assert decode(X, gnn.layout, gnn.idx, G) == xs[-1]
     assert out_mask(out) == evaluate(phi, G)
 
 
@@ -514,24 +548,59 @@ def test_integrality_and_bounds():
         phi = random_formula(rng, max_size=12)
         G = random_graph(rng, max_nodes=5)
         gnn = compile_formula(phi, props=G.props)
-        _, _, snaps = run_gnn(gnn, G, want_trace=True)
-        for snap in snaps:
-            for v in snap:
-                assert all(isinstance(a, int) for a in v)
+        _, _, states = run_states(gnn, G)
+        for X in states:
+            assert X.dtype == np.int64
+            for v in X.T.tolist():
                 k = v[gnn.layout.k_coord]
                 assert k <= G.n + 1
                 for fi in range(gnn.idx.n_fp):
                     assert v[gnn.layout.c_coord[fi]] <= k - 1 <= G.n
 
 
-def test_vectors_are_python_ints(g1, phi_reach):
+def test_states_are_int64_arrays(g1, phi_reach):
     gnn = compile_formula(phi_reach, props=g1.props)
-    _, _, snaps = run_gnn(gnn, g1, want_trace=True)
-    stepped = apply_layer(gnn, g1, snaps[0])
-    assert stepped == snaps[1]
-    for vecs in snaps + [stepped]:
-        assert isinstance(vecs, tuple)
-        assert {type(a) for v in vecs for a in v} == {int}
+    _, _, states = run_states(gnn, g1)
+    stepped = apply_layer(gnn, g1, states[0])
+    assert np.array_equal(stepped, states[1])
+    for X in states + [stepped, run_gnn(gnn, g1)[2]]:
+        assert isinstance(X, np.ndarray)
+        assert X.dtype == np.int64 and X.shape == (gnn.dim, g1.n)
+
+
+@pytest.mark.parametrize("state", [
+    lambda X: X + 0.5,  # a float array, which a cast would truncate
+    lambda X: X.T.reshape(-1).tolist(),  # n * dim ints in one flat list
+    lambda X: X.T.tolist(),  # per-node vectors
+    lambda X: X.T.copy(),  # a row per node
+], ids=["float", "flat-list", "per-node-lists", "transposed"])
+def test_apply_layer_takes_only_int_states(g1, phi_reach, state):
+    gnn = compile_formula(phi_reach, props=g1.props)
+    x = ExtendedConfiguration(initial_configuration(gnn.idx, g1, 1), frozenset())
+    X = encode(x, gnn.layout)
+    with pytest.raises(GnnError, match="not an int array"):
+        apply_layer(gnn, g1, state(X))
+
+
+@pytest.mark.parametrize("G, text", [(SINKS_AND_LOOPS, text) for text in SENTENCES]
+                         + [(EDGELESS, SENTENCES[0])])
+def test_gnn_and_extended_share_the_run_limit(monkeypatch, G, text):
+    # A round is one extended step, so both runners stop at the same limit.
+    import mugnn.counting as counting_mod
+    import mugnn.gnn as gnn_mod
+
+    gnn = compile_formula(text, props=G.props)
+    _, esteps = run_extended(text, G)
+    runs = (lambda: run_extended(text, G), lambda: run_gnn(gnn, G))
+    for limit in (esteps - 1, esteps):
+        for mod in (counting_mod, gnn_mod):
+            monkeypatch.setattr(mod, "safeguard", lambda idx, G, limit=limit: limit)
+        for run in runs:
+            if limit < esteps:
+                with pytest.raises(SafeguardExceeded):
+                    run()
+            else:
+                assert run()[1] == esteps
 
 
 def test_state_beyond_run_limit_raises():
@@ -549,14 +618,14 @@ def test_state_beyond_run_limit_raises():
     bound = LevelProgram(gnn.comb).max_input
     assert 2**10 < bound < 2**16
     x = ExtendedConfiguration(initial_configuration(gnn.idx, G, 1), frozenset())
-    vecs = [list(v) for v in encode(x, gnn.layout)]
+    X = encode(x, gnn.layout)
     k = gnn.layout.k_coord
-    vecs[0][k] = int(bound / 2) - 1  # inside the limit: runs
-    assert apply_layer(gnn, G, vecs)[0][k] == vecs[0][k]
+    X[k, 0] = int(bound / 2) - 1  # inside the limit: runs
+    assert apply_layer(gnn, G, X)[k, 0] == X[k, 0]
     for i, value in [(k, int(bound / 2) + 1), (k, -int(bound / 2) - 1), (k, 2**40), (k, 2**70),
                      (gnn.hlt_index, int(bound / 2) + 1)]:  # an input the network ignores
-        bad = [v[:] for v in vecs]
-        bad[0][i] = value
+        bad = X.astype(object) if value >= 2**63 else X.copy()  # beyond int64: not a state
+        bad[i, 0] = value
         with pytest.raises(GnnError):
             apply_layer(gnn, G, bad)
     with pytest.raises(GnnError):  # the halt row reaches 2**30 when the run halts
@@ -568,7 +637,12 @@ def test_run_on_empty_graph():
     gnn = compile_formula(parse("mu X.(p | <>X)"), props=["p"])
     out, iters, _ = run_gnn(gnn, G)
     assert out == [] and iters == 0
-    assert run_gnn(gnn, G, want_trace=True) == ([], 0, [()])
+    calls = []
+    out, iters, X = run_gnn(gnn, G, on_config=lambda kind, x: calls.append((kind, x)))
+    assert (out, iters) == ([], 0)
+    assert X.dtype == np.int64 and X.shape == (gnn.dim, 0)
+    x0 = ExtendedConfiguration(initial_configuration(gnn.idx, G, 1), frozenset())
+    assert calls == [("init", x0)]
 
 
 def test_halting_monotone_on_paths(phi_reach):
@@ -612,7 +686,7 @@ def test_model_file_bytes_are_pinned(tmp_path, text, digest):
 
 
 def _program_arrays(prog):
-    return [prog.n_atoms, prog.out_width, prog.max_input, prog.input_read, *prog.last,
+    return [prog.n_atoms, prog.max_input, prog.input_read, *prog.last,
             *(x for level in prog.hidden for x in level)]
 
 
