@@ -31,7 +31,7 @@ from .counting import (
 from .formula import Formula, FormulaError, SubformulaIndex, sentence, to_text
 from .formula import index, parse  # noqa: F401  names the benchmark's traced run patches
 from .graph import LabeledGraph
-from .rfnn import CircuitBuilder, Rfnn
+from .rfnn import CircuitBuilder, LinExpr, Rfnn
 
 MAX_WEIGHT = 2**40
 _BEYOND_MAX_WEIGHT = f"weight magnitude bound exceeded: a weight or bias beyond {MAX_WEIGHT}"
@@ -269,9 +269,10 @@ def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> Recurre
     g3 = b.band(d_empty, F[root])
     g1 = d_empty - g3
     k1 = K + g3
+    g1_1 = g1 - 1  # with d_empty, which is g1 + g3, what every `gated` reads
 
     def gated(old, new):
-        return b.relu(old - g1 - g3) + b.relu(new + g1 - 1)
+        return b.relu(old - d_empty) + b.relu(new + g1_1)
 
     Rn, Fn, Sn = [], [], []
     for p, (op, a, a2, _, _) in enumerate(idx.ops):
@@ -288,7 +289,7 @@ def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> Recurre
         elif op == "Or":
             r = b.bor(R[a], R[a2])
         elif op == "AtLeast":
-            r = b.geq_const(Ry[a], a2)
+            r = b.clip(Ry[a] - (a2 - 1))  # 1 iff count >= grade
         elif op == "AllBut":  # |G[n] \ R(body)| = degree - count < grade
             r = b.clip(Ry[a] - degree + a2)
         else:  # a fixpoint with body a and index a2, valid once C = k-1
@@ -319,10 +320,10 @@ def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> Recurre
     gb = [b.band(g2, d) for d in dep]
     V2, T2 = [], []
     for i, body in enumerate(idx.body_pos):
-        V2.append(b.relu(V1[i] - ga[i] - gb[i]) + b.relu(R1[body] + ga[i] - 1)
+        gab, ga_1 = ga[i] + gb[i], ga[i] - 1
+        V2.append(b.relu(V1[i] - gab) + b.relu(R1[body] + ga_1)
                   + (gb[i] if idx.nu >> i & 1 else 0))
-        T2.append(b.relu(T1[i] - ga[i] - gb[i]) + b.relu(b.band(T1[i], S1[body]) + ga[i] - 1)
-                  + gb[i])
+        T2.append(b.relu(T1[i] - gab) + b.relu(b.band(T1[i], S1[body]) + ga_1) + gb[i])
     F2 = list(F1)
     for bit, free in idx.open:
         p = bit.bit_length() - 1
@@ -339,7 +340,7 @@ def compile_formula(phi: str | Formula | SubformulaIndex, props=None) -> Recurre
     for coords, values in (
         (lay.prop_coord, P.values()), ((lay.k_coord,), (k1,)), (lay.c_coord, C3),
         (lay.v_coord, V2), (lay.r_coord, R1), (lay.f_coord, F2), (lay.s_coord, S1),
-        (lay.t_coord, T2), (lay.d_coord, D3), ((lay.pad_coord,), (b.const(1),)),
+        (lay.t_coord, T2), (lay.d_coord, D3), ((lay.pad_coord,), (LinExpr({}, 1),)),
         ((lay.halt_coord,), (halt,)),
     ):
         for c, e in zip(coords, values):
@@ -479,7 +480,8 @@ def apply_layer(gnn: RecurrentGnn, G: LabeledGraph, X: np.ndarray) -> np.ndarray
 def run_gnn(gnn: RecurrentGnn, G: LabeledGraph, on_config=None, max_steps: int | None = None):
     """Run from the encoding of the initial configuration at k = 1 to the
     first round where every node's halt coordinate is positive, and return
-    (out, rounds, the final (dim x n) int64 state).
+    (out, rounds, the final (dim x n) int64 state).  A round is one extended
+    step, but a graph with no nodes halts at once, where `run_extended` steps on.
 
     on_config, when given, is called as on_config("init", x0) with the
     initial extended configuration and as on_config("round", x) with the
@@ -599,8 +601,9 @@ def gnn_from_json(data) -> RecurrentGnn:
 
 
 def save_gnn(gnn: RecurrentGnn, path) -> None:
+    # gnn_to_json builds a fresh tree with no cycle, so the check is skipped
     with open(path, "w") as fh:
-        fh.write(json.dumps(gnn_to_json(gnn), separators=(",", ":")) + "\n")
+        fh.write(json.dumps(gnn_to_json(gnn), separators=(",", ":"), check_circular=False) + "\n")
 
 
 def load_gnn(path) -> RecurrentGnn:

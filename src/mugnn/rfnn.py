@@ -74,7 +74,8 @@ def rfnn_eval(f: Rfnn, x) -> list:
 
 
 class LinExpr:
-    """Integer linear combination of atoms plus a constant."""
+    """Integer linear combination of atoms plus a constant; `terms` holds
+    only nonzero coefficients and is never changed once built."""
 
     __slots__ = ("terms", "const")
 
@@ -85,28 +86,29 @@ class LinExpr:
     def __add__(self, other):
         if isinstance(other, int):
             return LinExpr(self.terms, self.const + other)
-        t = dict(self.terms)
+        t = self.terms.copy()
         for a, c in other.terms.items():
-            t[a] = t.get(a, 0) + c
-            if t[a] == 0:
+            if c := t.get(a, 0) + c:
+                t[a] = c
+            else:
                 del t[a]
         return LinExpr(t, self.const + other.const)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LinExpr({a: -c for a, c in self.terms.items()}, -self.const)
-
     def __sub__(self, other):
         if isinstance(other, int):
             return LinExpr(self.terms, self.const - other)
-        return self + (-other)
+        t = self.terms.copy()
+        for a, c in other.terms.items():
+            if c := t.get(a, 0) - c:
+                t[a] = c
+            else:
+                del t[a]
+        return LinExpr(t, self.const - other.const)
 
     def __rsub__(self, other):  # int - expr
-        return (-self) + other
-
-    def key(self):
-        return (tuple(sorted(self.terms.items())), self.const)
+        return LinExpr({a: -c for a, c in self.terms.items()}, other - self.const)
 
 
 class CircuitBuilder:
@@ -122,23 +124,20 @@ class CircuitBuilder:
             raise ValueError(f"input {i} out of range")
         return LinExpr({i: 1})
 
-    def const(self, c: int) -> LinExpr:
-        return LinExpr({}, c)
-
     def relu(self, e: LinExpr) -> LinExpr:
-        if not e.terms:
-            return LinExpr({}, max(0, e.const))
-        if e.const == 0 and len(e.terms) == 1:
-            ((a, c),) = e.terms.items()
+        terms, const, levels = e.terms, e.const, self.levels
+        if not terms:
+            return LinExpr({}, max(0, const))
+        if const == 0 and len(terms) == 1:
+            ((a, c),) = terms.items()
             if c == 1 and a >= self.n_inputs:  # a ReLU atom is its own ReLU
                 return e
-        key = e.key()
+        key = (frozenset(terms.items()), const)  # canonical, with no sort
         aid = self._relu_cache.get(key)
         if aid is None:
-            aid = self.n_inputs + len(self.relu_exprs)
+            aid = self._relu_cache[key] = len(levels)
             self.relu_exprs.append(e)
-            self.levels.append(1 + max(self.levels[a] for a in e.terms))
-            self._relu_cache[key] = aid
+            levels.append(1 + max(map(levels.__getitem__, terms)))
         return LinExpr({aid: 1})
 
     # -- boolean / arithmetic gates (arguments are 0/1 unless noted)
@@ -148,25 +147,21 @@ class CircuitBuilder:
         return self.relu(e) - self.relu(e - 1)
 
     def band(self, *es) -> LinExpr:
-        return self._gate(es, 1, lambda s: self.relu(s - (len(es) - 1)))
+        """1 of no argument, the one argument, or the ReLU of the sum less all but one."""
+        if len(es) < 2:
+            return es[0] if es else LinExpr({}, 1)
+        return self.relu(sum(es[1:], es[0]) - (len(es) - 1))
 
     def bor(self, *es) -> LinExpr:
-        return self._gate(es, 0, self.clip)
-
-    def _gate(self, es, empty: int, fire) -> LinExpr:
-        """`empty` of no argument, the one argument itself, or `fire` of the sum."""
+        """0 of no argument, the one argument, or the clip of the sum."""
         if len(es) < 2:
-            return es[0] if es else self.const(empty)
-        return fire(sum(es[1:], es[0]))
+            return es[0] if es else LinExpr({}, 0)
+        return self.clip(sum(es[1:], es[0]))
 
     def eqb(self, a: LinExpr, b: LinExpr) -> LinExpr:
         """1 iff booleans a and b agree."""
         both = self.band(a, b)
         return 1 - a - b + both + both
-
-    def geq_const(self, e: LinExpr, c: int) -> LinExpr:
-        """1 iff natural-valued x >= c."""
-        return self.clip(e - (c - 1))
 
     # -- emit as an Rfnn
 
@@ -180,16 +175,17 @@ class CircuitBuilder:
         made = np.argsort(depth, kind="stable")  # the relu atoms in level order
         atom = np.arange(n_atoms)  # the number of each atom the builder made
         atom[n_in + made] = np.arange(n_in, n_atoms)
-        exprs = [self.relu_exprs[i] for i in made.tolist()] + list(outputs)
+        exprs = [*map(self.relu_exprs.__getitem__, made.tolist()), *outputs]
         terms = [e.terms for e in exprs]
         nnz = np.fromiter(map(len, terms), np.int64, len(terms))
         total = int(nnz.sum())
         cols = atom[np.fromiter(chain.from_iterable(terms), np.int64, total)]
-        coefs = np.fromiter(chain.from_iterable(t.values() for t in terms), np.int64, total)
-        order = np.lexsort((cols, np.repeat(np.arange(len(terms)), nnz)))  # by row, then atom
+        coefs = np.fromiter(chain.from_iterable(map(dict.values, terms)), np.int64, total)
+        rows = np.arange(0, len(terms) * n_atoms, n_atoms).repeat(nnz)  # row times n_atoms
+        order = np.argsort(rows + cols, kind="stable")  # by row, then atom
         return Rfnn(
             (*np.bincount(depth - 1).tolist(), len(outputs)), nnz, cols[order], coefs[order],
-            np.fromiter((e.const for e in exprs), np.int64, len(exprs)), n_in,
+            np.array([e.const for e in exprs], np.int64), n_in,
         )
 
 

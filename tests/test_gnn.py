@@ -633,10 +633,14 @@ def test_state_beyond_run_limit_raises():
 
 
 def test_run_on_empty_graph():
+    # The one place where a round is not an extended step: every node of no
+    # nodes has halted before the first round, while the extended run still
+    # steps to a complete and stable configuration.
     G = make_graph(["p"], [], [], [])
     gnn = compile_formula(parse("mu X.(p | <>X)"), props=["p"])
     out, iters, _ = run_gnn(gnn, G)
     assert out == [] and iters == 0
+    assert run_extended(parse("mu X.(p | <>X)"), G)[1] == 4
     calls = []
     out, iters, X = run_gnn(gnn, G, on_config=lambda kind, x: calls.append((kind, x)))
     assert (out, iters) == ([], 0)
@@ -683,6 +687,17 @@ def test_model_file_bytes_are_pinned(tmp_path, text, digest):
     path = tmp_path / "model.json"
     save_gnn(compile_formula(text), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_compiled_corpus_digest_is_pinned(tmp_path):
+    # One digest over the model files of 200 random sentences: they reach far
+    # more of the builder than the three formulas above, so an atom built in
+    # another order, at another level or with another row order shows here.
+    path, h = tmp_path / "model.json", hashlib.sha256()
+    for seed in range(200):
+        save_gnn(compile_formula(random_formula(random.Random(seed))), path)
+        h.update(path.read_bytes())
+    assert h.hexdigest() == "bbd405810b42f6ddf3e7411e75fabb0692dcb8309f841633d075ddfd0f63964f"
 
 
 def _program_arrays(prog):

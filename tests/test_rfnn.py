@@ -84,7 +84,7 @@ def test_builder_relu_sharing():
     x, y = b.inp(0), b.inp(1)
     e1 = b.relu(x + y - 1)
     e2 = b.relu(x + y - 1)
-    assert e1.key() == e2.key()  # hash-consed
+    assert e1.terms == e2.terms  # hash-consed: one atom
     assert len(b.relu_exprs) == 1
 
 
