@@ -72,9 +72,8 @@ def _not_nan(ctx, param, value):
 
 def _run_engine(idx, G, engine, max_steps=None):
     """Returns (mask, k_used or None, iterations or None)."""
-    phi = idx.root_formula
     if engine == "oracle":
-        return evaluate(phi, G), None, None
+        return evaluate(idx, G), None, None
     if engine == "stable":
         mask, k = model_check_stable(idx, G)
         return mask, k, None
@@ -202,7 +201,8 @@ def compare(formula, graph, trials, seed, max_steps):
         if bad:
             disagreements += 1
             diff_engine, diff_mask = next(iter(bad.items()))
-            first_node = (baseline ^ diff_mask).bit_length() - 1
+            diff = baseline ^ diff_mask
+            first_node = (diff & -diff).bit_length() - 1  # the lowest differing node
             click.echo(
                 json.dumps(
                     {

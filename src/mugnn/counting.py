@@ -214,26 +214,25 @@ def etrans_step(x: ExtendedConfiguration) -> ExtendedConfiguration:
 
 
 def check_coherent(cfg: Configuration, ev: Evaluator | None = None) -> str | None:
-    """None when coherent, otherwise a description of the first violation."""
-    idx, G, k = cfg.idx, cfg.G, cfg.k
+    """None when coherent, otherwise a description of the first violation.
+    `ev`, when given, is an `Evaluator` of cfg's index and graph."""
+    idx, k, V = cfg.idx, cfg.k, cfg.V
     if ev is None:
-        ev = Evaluator(G)
-    V = dict(zip(idx.var_names, cfg.V))
+        ev = Evaluator(idx, cfg.G)
 
     for fi, p in enumerate(idx.fp_positions):
         if not 0 <= cfg.C[fi] <= k - 1:
             return f"counter C({idx.var_names[fi]})={cfg.C[fi]} outside [0,{k-1}]"
-        expect = ev.approx_chain(idx.formulas[p], cfg.C[fi], k, V)[-1]
-        if cfg.V[fi] != expect:
+        expect = ev.approx_chain(p, cfg.C[fi], k, V)[-1]
+        if V[fi] != expect:
             return (
-                f"soundness: V({idx.var_names[fi]})={cfg.V[fi]:b} but "
+                f"soundness: V({idx.var_names[fi]})={V[fi]:b} but "
                 f"iteration {cfg.C[fi]} of its binder gives {expect:b}"
             )
 
-    for p, f in enumerate(idx.formulas):
-        if not cfg.F >> p & 1:
-            continue
-        expect = ev.evaluate(f, V, k)
+    valid = [p for p in range(idx.n) if cfg.F >> p & 1]
+    for p in valid:
+        expect = ev.evaluate(p, V, k)
         if cfg.R[p] != expect:
             return f"consistency: R at position {p} is {cfg.R[p]:b}, expected {expect:b}"
         if not all(cfg.F >> c & 1 for c in idx.sub[p]):
@@ -241,14 +240,12 @@ def check_coherent(cfg: Configuration, ev: Evaluator | None = None) -> str | Non
         if idx.ops[p][0] in ("Mu", "Nu") and cfg.C[idx.ops[p][2]] != k - 1:
             return f"consistency: valid fixpoint at position {p} has counter < k-1"
 
-    for p, f in enumerate(idx.formulas):
-        if not cfg.F >> p & 1:
-            continue
-        expect = ev.stable_set(f, V, k)
+    for p in valid:
+        expect = ev.stable_set(p, V, k)
         if cfg.S[p] != expect:
             return f"stability: S at position {p} is {cfg.S[p]:b}, expected {expect:b}"
     for fi, p in enumerate(idx.fp_positions):
-        expect = ev.jk_stable_set(idx.formulas[p], cfg.C[fi], k, V)
+        expect = ev.jk_stable_set(p, cfg.C[fi], k, V)
         if cfg.T[fi] != expect:
             return (
                 f"stability: T({idx.var_names[fi]})={cfg.T[fi]:b}, "

@@ -348,7 +348,8 @@ def _rename(phi: Formula) -> Formula:
 
 class SubformulaIndex:
     """All distinct subformulas of a well-named formula, compiled for the
-    counting step (`mugnn.counting`) and the compiler (`mugnn.gnn`).
+    evaluator (`mugnn.semantics`), the counting step (`mugnn.counting`) and
+    the compiler (`mugnn.gnn`).
 
     Order is post-order, left to right, duplicates dropped keeping the first
     occurrence; children therefore always precede their parents, and the root
@@ -363,8 +364,11 @@ class SubformulaIndex:
     index (Mu, Nu).  Fixpoint i has binders[i] = (mask of its direct
     subformulas, its strict fixpoint subformulas) and resets[i], the
     variables a tick of it resets: i itself, and every binder that mentions
-    a resetting variable free.  `open` is (1 << p, free variables) for every
-    position with some, `nu` the nu fixpoints and `props` the propositions.
+    a resetting variable free.  free[p] is p's free variables and
+    fp_below[p] the fixpoints at or below p; `open` is (1 << p, free[p]) for
+    every position with some, `nu` the nu fixpoints and `props` the
+    propositions.  `mugnn.semantics.Evaluator` reads the same table, with
+    valuations indexed by variable number.
     """
 
     def __init__(self, phi: Formula):
@@ -431,25 +435,22 @@ class SubformulaIndex:
 
         number = {x: i for i, x in enumerate(self.var_names)}
         bits = [1 << number.setdefault(x, len(number)) for x in first_seen]
-
-        def renumber(m: int) -> int:
-            return sum(bit for s, bit in enumerate(bits) if m >> s & 1)
-
         self.ops = tuple((op, number[a], *rest) if op == "Var" else (op, a, *rest)
                          for op, a, *rest in ops)
         self.binders = tuple(
             (ops[p][4], tuple(j for j in range(i) if s >> j & 1))
             for i, (p, s) in enumerate(zip(fps, strict))
         )
-        self.open = tuple((1 << p, renumber(m)) for p, m in enumerate(free) if m)
+        self.free = tuple(sum(bit for s, bit in enumerate(bits) if m >> s & 1) for m in free)
+        self.open = tuple((1 << p, m) for p, m in enumerate(self.free) if m)
+        self.fp_below = tuple(below)
         # A binder that mentions variable i free is nested in binder i, so its
         # index is smaller: in ascending order its resets are already known.
-        fp_free = [renumber(free[p]) for p in fps]
         resets = []
         for i in range(self.n_fp):
             m = 1 << i
             for j in range(i):
-                if fp_free[j] >> i & 1:
+                if self.free[fps[j]] >> i & 1:
                     m |= resets[j]
             resets.append(m)
         self.resets = tuple(resets)

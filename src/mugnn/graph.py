@@ -166,7 +166,8 @@ def graph_from_json(data) -> LabeledGraph:
             lab = nd.get("props", [])
         except (KeyError, TypeError, AttributeError):
             raise GraphError(f"node {nd!r} must be an object with an id") from None
-        if isinstance(lab, str):  # it would split into one-letter props
+        # a string would split into one-letter props, an object into its keys
+        if not isinstance(lab, (list, tuple)):
             raise GraphError(f"props of node {node_ids[-1]!r} must be a list, not {lab!r}")
         labels.append(lab)
     id_to_idx = {nid: i for i, nid in enumerate(node_ids)}
@@ -176,7 +177,8 @@ def graph_from_json(data) -> LabeledGraph:
     idx_edges = []
     for e in edges:
         try:
-            if isinstance(e, str):  # a two-letter id would unpack into a pair
+            # a two-letter string, or an object of two keys, would unpack into a pair
+            if not isinstance(e, (list, tuple)):
                 raise TypeError
             a, b = e
         except (TypeError, ValueError):

@@ -21,7 +21,7 @@ from mugnn.counting import (
     run_extended,
     safeguard,
 )
-from mugnn.formula import index, parse, well_name
+from mugnn.formula import index, parse, sentence, well_name
 from mugnn.gen import path_graph, random_formula, random_graph
 from mugnn.gnn import apply_layer, compile_formula, encode, run_gnn
 from mugnn.graph import disjoint_union, make_graph
@@ -124,14 +124,15 @@ def test_04_coherence_after_every_transition_on_50_runs(corpus500, announce):
     bad = []
 
     for phi, G in corpus500[:50]:
-        ev = Evaluator(G)
+        idx = sentence(phi)
+        ev = Evaluator(idx, G)
 
         def on_config(kind, cfg):
             diag = check_coherent(cfg, ev)
             if diag is not None:
                 bad.append((kind, diag))
 
-        run_counting(phi, G, on_config=on_config)
+        run_counting(idx, G, on_config=on_config)
     announce(4, "coherence holds after every transition along 50 full runs",
              not bad, f"{len(bad)} violations")
     assert not bad
@@ -151,10 +152,11 @@ def test_05_stable_bound_is_exact_and_small(corpus500, announce):
 def test_06_stability_preserved_upward_on_200_instances(announce):
     bad = 0
     for phi, G in make_corpus(2027, 200):
-        ev = Evaluator(G)
-        _, k = model_check_stable(phi, G)
-        up = ev.stable_set(phi, {}, k + 1) == G.full_mask
-        same = ev.evaluate(phi, {}, k) == ev.evaluate(phi, {}, k + 1)
+        idx = sentence(phi)
+        ev, V = Evaluator(idx, G), (0,) * idx.n_fp
+        _, k = model_check_stable(idx, G)
+        up = ev.stable_set(idx.root, V, k + 1) == G.full_mask
+        same = ev.evaluate(idx.root, V, k) == ev.evaluate(idx.root, V, k + 1)
         if not (up and same):
             bad += 1
     announce(6, "everywhere k-stable implies (k+1)-stable with equal approximants, 200 instances",

@@ -95,8 +95,11 @@ def test_check_graph_error_exit_3(runner, tmp_path):
         {"props": [], "nodes": 5, "edges": []},
         {"props": [], "nodes": [{"id": "a"}], "edges": [["a"]]},
         {"props": "pq", "nodes": [{"id": "a", "props": "pq"}], "edges": []},
+        {"props": ["p"], "nodes": [{"id": "a", "props": {"p": 0}}], "edges": []},
+        {"props": ["p"], "nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"b": 1, "a": 2}]},
     ],
-    ids=["node-without-id", "nodes-not-a-list", "edge-not-a-pair", "string-props"],
+    ids=["node-without-id", "nodes-not-a-list", "edge-not-a-pair", "string-props",
+         "object-props", "object-edge"],
 )
 def test_check_malformed_graph_exit_3(runner, tmp_path, data):
     bad = tmp_path / "bad.json"
@@ -334,20 +337,22 @@ def test_compare_disagreement_exit_1(runner, g1_path, monkeypatch):
     import mugnn.cli as cli_mod
 
     real = cli_mod._run_engine
+    # the gnn answer with the nodes of `flip` flipped; node 0 is the lowest
+    for flip in (0b001, 0b101):
 
-    def broken(phi, G, engine, max_steps=None):
-        mask, k, it = real(phi, G, engine, max_steps)
-        if engine == "gnn":
-            mask ^= 0b001
-        return mask, k, it
+        def broken(phi, G, engine, max_steps=None):
+            mask, k, it = real(phi, G, engine, max_steps)
+            if engine == "gnn":
+                mask ^= flip
+            return mask, k, it
 
-    monkeypatch.setattr(cli_mod, "_run_engine", broken)
-    res = invoke(runner, "compare", REACH, g1_path)
-    assert res.exit_code == 1
-    report = json.loads(res.output)
-    assert report["verdict"] == "disagree"
-    assert report["engine"] == "gnn"
-    assert report["first_differing_node"] == "0"
+        monkeypatch.setattr(cli_mod, "_run_engine", broken)
+        res = invoke(runner, "compare", REACH, g1_path)
+        assert res.exit_code == 1
+        report = json.loads(res.output)
+        assert report["verdict"] == "disagree"
+        assert report["engine"] == "gnn"
+        assert report["first_differing_node"] == "0"
 
 
 def test_compare_without_args_exit_2(runner):

@@ -150,7 +150,7 @@ def test_trans2_first_tick_matches_adorned(g1, phi_reach):
         if cfg.C == (1,):
             break
     assert cfg.C == (1,)
-    expect = Evaluator(g1).approx_chain(phi_reach, 1, 2, {})[-1]
+    expect = Evaluator(idx, g1).approx_chain(idx.root, 1, 2, (0,))[-1]
     assert cfg.V == (expect,)
     assert cfg.V == (0b100,)
 
@@ -347,13 +347,14 @@ def test_coherence_along_runs():
     for _ in range(10):
         phi = random_formula(rng, max_size=12)
         G = random_graph(rng, max_nodes=5)
-        ev = Evaluator(G)
+        idx = sentence(phi)
+        ev = Evaluator(idx, G)
 
         def on_config(kind, cfg):
             diag = check_coherent(cfg, ev)
             assert diag is None, f"{kind}: {diag}"
 
-        run_counting(phi, G, on_config=on_config)
+        run_counting(idx, G, on_config=on_config)
 
 
 def test_step_matches_reference():

@@ -241,8 +241,12 @@ def test_one_pass_index_matches_the_trees():
         number = {**t.var_index, **dict.fromkeys(free_vars(phi), len(fps))}
 
         assert idx.is_sentence == (not free_vars(phi))
+        assert idx.free == tuple(sum(1 << number[x] for x in free) for free in t.free)
         assert idx.open == tuple((1 << p, sum(1 << number[x] for x in free))
                                  for p, free in enumerate(t.free) if free)
+        assert idx.fp_below == tuple(
+            sum(1 << i for i in t.tfp[p]) | (1 << t.fp_index[p] if t.is_fp[p] else 0)
+            for p in range(idx.n))
         assert idx.binders == tuple(
             (1 << forms.index(forms[p].body), tuple(sorted(t.tfp[p]))) for p in fps)
         assert idx.nu == sum(1 << i for i, p in enumerate(fps) if not t.is_mu[p])

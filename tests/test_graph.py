@@ -75,8 +75,10 @@ def test_nodes_not_a_list_rejected():
 
 
 def test_edge_not_a_pair_rejected():
-    with pytest.raises(GraphError):
-        graph_from_json(dict(G1_JSON, edges=[["0"]]))
+    # read by its keys, the object would be the edge 1 -> 0
+    for edge in (["0"], {"1": 0, "0": 2}):
+        with pytest.raises(GraphError, match="must be a pair"):
+            graph_from_json(dict(G1_JSON, edges=[edge]))
 
 
 def test_string_props_rejected():
@@ -87,6 +89,13 @@ def test_string_props_rejected():
 def test_string_node_props_rejected():
     data = {"props": ["p", "q"], "nodes": [{"id": "a", "props": "pq"}], "edges": []}
     with pytest.raises(GraphError):
+        graph_from_json(data)
+
+
+def test_object_node_props_rejected():
+    # read by its keys, the object would be the label p
+    data = {"props": ["p"], "nodes": [{"id": "a", "props": {"p": 0}}], "edges": []}
+    with pytest.raises(GraphError, match="must be a list"):
         graph_from_json(data)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mugnn.formula import FormulaError, Mu, Nu, parse, well_name
+from mugnn.formula import FormulaError, Mu, Nu, index, parse, sentence, well_name
 from mugnn.gen import random_formula, random_graph
 from mugnn.graph import make_graph
 from mugnn.semantics import (
@@ -13,6 +13,13 @@ from mugnn.semantics import (
 )
 
 from oracles import naive_evaluate, to_mask
+
+
+def at_root(phi, G):
+    """An evaluator of the sentence phi on G, its root position and a
+    valuation with one empty set per variable."""
+    idx = sentence(phi)
+    return Evaluator(idx, G), idx.root, (0,) * idx.n_fp
 
 
 def test_reach_fixture(g1, phi_reach):
@@ -29,8 +36,8 @@ def test_diamond(g1):
 
 
 def test_missing_free_variable(g1):
-    with pytest.raises(SemanticsError):
-        evaluate(parse("X"), g1, {})
+    with pytest.raises(FormulaError, match="no free variables"):
+        evaluate(parse("X"), g1)
 
 
 def test_against_naive_oracle():
@@ -41,11 +48,38 @@ def test_against_naive_oracle():
         assert evaluate(phi, G) == to_mask(naive_evaluate(phi, G, {}))
 
 
+def test_every_position_against_naive_oracle():
+    # each subformula under valuations of its free variables, drawn by
+    # variable number and named for the oracle.  One evaluator per sentence
+    # shares its memo among them all, and sets are drawn from few, so that
+    # two valuations often agree on some variables and differ on others.
+    # Random sentences seldom have a subformula with two free variables, so
+    # three with some follow them.
+    rng = random.Random(12)
+    phis = [random_formula(rng, max_size=12, max_fixpoints=2) for _ in range(60)]
+    phis += map(parse, ("mu X.(p | mu Y.(X | <>Y))", "nu X.mu Y.(q & <>X | [2]Y)",
+                        "nu X.(mu Y.(p | <>(Y & X))) & mu Z.(X | nu W.(W & <2>Z | ~q))"))
+    for phi in phis:
+        idx = sentence(phi)
+        G = random_graph(rng, max_nodes=5)
+        ev = Evaluator(idx, G)
+        some = (0, G.full_mask, rng.getrandbits(G.n))
+        for p, f in enumerate(idx.formulas):
+            free = [i for i in range(idx.n_fp) if idx.free[p] >> i & 1]
+            for _ in range(3):
+                V = [0] * idx.n_fp
+                for i in free:
+                    V[i] = rng.choice(some)
+                named = {idx.var_names[i]: frozenset(n for n in range(G.n) if V[i] >> n & 1)
+                         for i in free}
+                assert ev.evaluate(p, tuple(V), None) == to_mask(naive_evaluate(f, G, named))
+
+
 def test_adorn_outer_top_inner_nested(g1):
     # the outer count unfolds mu X, the inner one mu Y, by hand on g1
     phi = well_name(parse("mu X.(p | mu Y.(X | <>Y))"))
     p = g1.prop_mask("p")
-    ev = Evaluator(g1)
+    ev, root, V = at_root(phi, g1)
 
     def by_hand(outer, inner):
         X = 0
@@ -58,63 +92,69 @@ def test_adorn_outer_top_inner_nested(g1):
 
     for outer in range(5):
         for inner in range(5):
-            assert ev.approx_chain(phi, outer, inner, {})[-1] == by_hand(outer, inner)
-    assert ev.approx_chain(phi, 2, 0, {})[-1] == p  # inner 0: mu Y is empty
-    assert ev.approx_chain(phi, 0, 2, {})[-1] == 0  # outer 0: mu X is empty
-    assert ev.approx_chain(phi, 2, 2, {})[-1] == 0b110
-    assert ev.approx_chain(phi, 2, 5, {})[-1] == 0b111
+            assert ev.approx_chain(root, outer, inner, V)[-1] == by_hand(outer, inner)
+    assert ev.approx_chain(root, 2, 0, V)[-1] == p  # inner 0: mu Y is empty
+    assert ev.approx_chain(root, 0, 2, V)[-1] == 0  # outer 0: mu X is empty
+    assert ev.approx_chain(root, 2, 2, V)[-1] == 0b110
+    assert ev.approx_chain(root, 2, 5, V)[-1] == 0b111
 
 
 def test_adorn_non_fixpoint_top(g1):
     # nu X.<>X after j rounds: nodes with a path of j edges; with no binder
     # at the top, every fixpoint is iterated the same k times
-    phi = parse("p | nu X.<>X")
-    ev = Evaluator(g1)
-    assert ev.evaluate(phi, {}, 2) == 0b101
-    assert ev.evaluate(phi, {}, 3) == 0b100
+    ev, root, V = at_root(parse("p | nu X.<>X"), g1)
+    assert ev.evaluate(root, V, 2) == 0b101
+    assert ev.evaluate(root, V, 3) == 0b100
 
 
 def test_adorn_zero(g1):
-    ev = Evaluator(g1)
-    assert ev.approx_chain(parse("mu X.p"), 0, 3, {})[-1] == 0
-    assert ev.approx_chain(parse("nu X.p"), 0, 3, {})[-1] == g1.full_mask
-    assert ev.approx_chain(parse("mu X.p"), 1, 3, {})[-1] == 0b100
+    ev, mu, V = at_root(parse("mu X.p"), g1)
+    assert ev.approx_chain(mu, 0, 3, V)[-1] == 0
+    assert ev.approx_chain(mu, 1, 3, V)[-1] == 0b100
+    ev, nu, V = at_root(parse("nu X.p"), g1)
+    assert ev.approx_chain(nu, 0, 3, V)[-1] == g1.full_mask
 
 
 def test_adorned_chain_fixture(g1, phi_reach):
-    ev = Evaluator(g1)
-    assert ev.evaluate(phi_reach, {}, 1) == 0b100
-    assert ev.evaluate(phi_reach, {}, 2) == 0b110
-    assert ev.evaluate(phi_reach, {}, 3) == 0b111
+    ev, root, V = at_root(phi_reach, g1)
+    assert ev.evaluate(root, V, 1) == 0b100
+    assert ev.evaluate(root, V, 2) == 0b110
+    assert ev.evaluate(root, V, 3) == 0b111
 
 
 def test_adorned_base_cases(g1):
-    ev = Evaluator(g1)
-    assert ev.approx_chain(parse("nu X.<>X"), 0, 0, {})[-1] == g1.full_mask
-    assert ev.approx_chain(parse("mu X.<>X"), 0, 0, {})[-1] == 0
+    ev, nu, V = at_root(parse("nu X.<>X"), g1)
+    assert ev.approx_chain(nu, 0, 0, V)[-1] == g1.full_mask
+    ev, mu, V = at_root(parse("mu X.<>X"), g1)
+    assert ev.approx_chain(mu, 0, 0, V)[-1] == 0
 
 
 def test_adorned_unfolds_match_manual(g1, phi_reach):
     # i unfoldings of the body from the init set, by hand
-    ev = Evaluator(g1)
+    ev, root, V = at_root(phi_reach, g1)
+    body = ev.idx.body_pos[0]
     S = 0
     for i in range(4):
-        assert ev.approx_chain(phi_reach, i, 4, {})[-1] == S
-        S = ev.evaluate(phi_reach.body, {"X": S})
+        assert ev.approx_chain(root, i, 4, V)[-1] == S
+        S = ev.evaluate(body, (S,))
 
 
 def test_atoms_always_stable(g1):
     for text in ("p", "~p"):
         for k in (1, 2, 5):
             for n in range(3):
-                assert Evaluator(g1).stable_set(parse(text), {}, k) >> n & 1
+                ev, root, V = at_root(parse(text), g1)
+                assert ev.stable_set(root, V, k) >> n & 1
+    idx = index(parse("X"))  # an open formula: its free variable is number 0
     for k in (1, 2, 5):
-        assert Evaluator(g1).stable_set(parse("X"), {"X": 0b010}, k) >> 1 & 1
+        assert Evaluator(idx, g1).stable_set(idx.root, (0b010,), k) >> 1 & 1
 
 
 def test_reach_stability_fixture(g1, phi_reach):
-    assert not Evaluator(g1).stable_set(phi_reach, {}, 3) >> 0 & 1
-    assert Evaluator(g1).stable_set(phi_reach, {}, 4) >> 0 & 1
+    ev, root, V = at_root(phi_reach, g1)
+    assert not ev.stable_set(root, V, 3) >> 0 & 1
+    ev, root, V = at_root(phi_reach, g1)
+    assert ev.stable_set(root, V, 4) >> 0 & 1
 
 
 def test_stability_at_n_plus_one():
@@ -124,17 +164,20 @@ def test_stability_at_n_plus_one():
         G = random_graph(rng, max_nodes=5)
         k = G.n + 1
         for n in range(G.n):
-            assert Evaluator(G).stable_set(phi, {}, k) >> n & 1
+            ev, root, V = at_root(phi, G)
+            assert ev.stable_set(root, V, k) >> n & 1
 
 
 def test_k_zero_rejected(g1, phi_reach):
+    ev, root, V = at_root(phi_reach, g1)
     with pytest.raises(SemanticsError):
-        Evaluator(g1).stable_set(phi_reach, {}, 0)
+        ev.stable_set(root, V, 0)
 
 
 def test_jk_vacuous(g1, phi_reach):
     for n in range(3):
-        assert Evaluator(g1).jk_stable_set(phi_reach, 0, 1, {}) >> n & 1
+        ev, root, V = at_root(phi_reach, g1)
+        assert ev.jk_stable_set(root, 0, 1, V) >> n & 1
 
 
 def test_jk_follows_from_k(g1):
@@ -145,27 +188,32 @@ def test_jk_follows_from_k(g1):
             continue
         G = random_graph(rng, max_nodes=5)
         for k in (1, 2, 3):
-            full = Evaluator(G).stable_set(phi, {}, k)
-            jk = Evaluator(G).jk_stable_set(phi, k, k, {})
+            ev, root, V = at_root(phi, G)
+            full = ev.stable_set(root, V, k)
+            ev, root, V = at_root(phi, G)
+            jk = ev.jk_stable_set(root, k, k, V)
             assert full & ~jk == 0  # k-stable nodes are (k,k)-stable
 
 
 def test_jk_brute_force_cross_check(g1, phi_reach):
     # unfold Def 4 by hand: body stable under V_i for i < j
-    ev = Evaluator(g1)
+    ev, root, V = at_root(phi_reach, g1)
+    body = ev.idx.body_pos[0]
     j, k = 2, 2
-    chain = ev.approx_chain(phi_reach, j - 1, k, {})
+    chain = ev.approx_chain(root, j - 1, k, V)
     expect = g1.full_mask
     for i in range(j):
-        expect &= ev.stable_set(phi_reach.body, {"X": chain[i]}, k)
-    got = ev.jk_stable_set(phi_reach, j, k, {})
+        expect &= ev.stable_set(body, (chain[i],), k)
+    got = ev.jk_stable_set(root, j, k, V)
     assert got == expect
-    assert Evaluator(g1).jk_stable_set(phi_reach, j, k, {}) >> 1 & 1 == got >> 1 & 1
+    ev, root, V = at_root(phi_reach, g1)
+    assert ev.jk_stable_set(root, j, k, V) >> 1 & 1 == got >> 1 & 1
 
 
 def test_jk_requires_fixpoint(g1):
+    ev, root, V = at_root(parse("p"), g1)
     with pytest.raises(SemanticsError):
-        Evaluator(g1).jk_stable_set(parse("p"), 1, 1, {})
+        ev.jk_stable_set(root, 1, 1, V)
 
 
 def test_model_check_stable_fixture(g1, phi_reach):
@@ -194,10 +242,10 @@ def test_chain_monotonicity():
         if not isinstance(phi, (Mu, Nu)):
             continue
         G = random_graph(rng, max_nodes=6)
-        ev = Evaluator(G)
+        ev, root, V = at_root(phi, G)
         k = G.n + 1
-        chain = ev.approx_chain(phi, k, k, {})
-        assert chain[-1] == ev.evaluate(phi, {}, k)
+        chain = ev.approx_chain(root, k, k, V)
+        assert chain[-1] == ev.evaluate(root, V, k)
         for a, b in zip(chain, chain[1:]):
             if isinstance(phi, Mu):
                 assert a & ~b == 0
@@ -221,7 +269,7 @@ def test_stability_preserved_upward():
     for _ in range(40):
         phi = random_formula(rng, max_size=12)
         G = random_graph(rng, max_nodes=5)
-        ev = Evaluator(G)
+        ev, root, V = at_root(phi, G)
         mask, k = model_check_stable(phi, G)
-        assert ev.stable_set(phi, {}, k + 1) == G.full_mask
-        assert ev.evaluate(phi, {}, k) == ev.evaluate(phi, {}, k + 1)
+        assert ev.stable_set(root, V, k + 1) == G.full_mask
+        assert ev.evaluate(root, V, k) == ev.evaluate(root, V, k + 1)
