@@ -23,10 +23,10 @@ def mask_of(nodes) -> int:
     return out
 
 
-# Graphs of more nodes count graded clauses with numpy over the edge index;
-# smaller ones loop in Python, which is faster there.  Loop / numpy in µs per
-# `at_least` call, grade 1, 3 edges per node, best of 5x2,000 on a 2-vCPU host:
-# 10 nodes 0.4 / 5.1, 64: 7.1 / 9.9, 96: 11.2 / 10.0, 128: 14.6 / 10.9, 1,000: 117 / 22.4.
+# Above this many nodes, graded clauses count with numpy over the edge index; up to it,
+# grade 1 is a byte-table lookup and higher grades a loop over nodes.  µs per `at_least`
+# call, table g1 / loop g2 / numpy, 3 edges per node, best of 5x2,000, 2-vCPU host:
+# 10 nodes 0.21/0.47/4.4, 64: 0.82/4.5/5.1, 96: 1.2/5.6/5.3, 128: 1.5/8.3/5.5, 1,000: 14/126/12.
 WIDE_GRAPH = 96
 
 
@@ -47,6 +47,7 @@ class LabeledGraph:
     def __init__(self, props: tuple[str, ...], node_ids: tuple[str, ...],
                  labels: tuple[frozenset[str], ...], adj: tuple[tuple[int, ...], ...]):
         self.props, self.node_ids, self.labels, self.adj = props, node_ids, labels, adj
+        self.n = len(node_ids)
         self._key = (props, node_ids, labels, adj)  # equality and hash are over these
 
     def __eq__(self, other):
@@ -54,10 +55,6 @@ class LabeledGraph:
 
     def __hash__(self):
         return hash(self._key)
-
-    @property
-    def n(self) -> int:
-        return len(self.node_ids)
 
     @cached_property
     def full_mask(self) -> int:
@@ -82,28 +79,39 @@ class LabeledGraph:
             raise GraphError(f"proposition {p!r} not in universe {list(self.props)}")
 
     @cached_property
-    def _out_masks(self) -> tuple[tuple[int, int], ...] | None:
-        """(node bit, out-neighbour mask) per node; None above WIDE_GRAPH nodes."""
-        if self.n > WIDE_GRAPH:
-            return None
+    def _out_masks(self) -> tuple[tuple[int, int], ...]:
+        """(node bit, out-neighbour mask) per node."""
         return tuple((1 << n, mask_of(out)) for n, out in enumerate(self.adj))
+
+    @cached_property
+    def _pre_tables(self) -> list[list[int]]:
+        """Per 8-node chunk, 256 masks: entry v is the union of the in-neighbours of
+        the chunk's nodes that v names, so `<>` is one lookup per byte (Four Russians)."""
+        pre = [0] * (self.n + -self.n % 8)  # padded, so mask bits at n and above name no node
+        for a, out in enumerate(self.adj):
+            for b in out:
+                pre[b] |= 1 << a
+        tables = [[0] for _ in range(0, len(pre), 8)]
+        for i, p in enumerate(pre):  # doubling: the entries that name node i gain p
+            t = tables[i >> 3]
+            t += [x | p for x in t] if p else t
+        return tables
 
     def at_least(self, mask: int, grade: int) -> int:
         """Nodes with at least `grade` out-neighbours in `mask`."""
-        pairs = self._out_masks
-        if pairs is None:  # one count of edge sources, each weighted by its target's bit
+        if self.n > WIDE_GRAPH:  # one count of edge sources, each weighted by its target's bit
             n, E = self.n, self.edge_index
             raw = (mask & self.full_mask).to_bytes((n + 7) // 8, "little")
             bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
             hits = np.bincount(E.src, weights=bits[E.dst], minlength=n) >= grade
             return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
         out = 0
-        if grade == 1:  # the common case needs no count
-            for bit, succ in pairs:
-                if succ & mask:
-                    out |= bit
+        if grade == 1:  # the common case: one table lookup per byte of the mask
+            for t in self._pre_tables:
+                out |= t[mask & 255]
+                mask >>= 8
             return out
-        for bit, succ in pairs:
+        for bit, succ in self._out_masks:
             if (succ & mask).bit_count() >= grade:
                 out |= bit
         return out
@@ -143,6 +151,12 @@ def make_graph(props, node_ids, labels, edges) -> LabeledGraph:
     return LabeledGraph(props, node_ids, labels, tuple(tuple(o) for o in out))
 
 
+def _node_id(x) -> str:
+    if isinstance(x, str) or type(x) is int:  # not a bool; an int loads as its decimal string
+        return str(x)
+    raise GraphError(f"node id {x!r} must be a string or an int")
+
+
 def graph_from_json(data) -> LabeledGraph:
     if not isinstance(data, dict):
         raise GraphError("graph JSON must be an object")
@@ -162,7 +176,7 @@ def graph_from_json(data) -> LabeledGraph:
     labels = []
     for nd in nodes:
         try:
-            node_ids.append(str(nd["id"]))
+            node_ids.append(_node_id(nd["id"]))
             lab = nd.get("props", [])
         except (KeyError, TypeError, AttributeError):
             raise GraphError(f"node {nd!r} must be an object with an id") from None
@@ -184,7 +198,7 @@ def graph_from_json(data) -> LabeledGraph:
         except (TypeError, ValueError):
             raise GraphError(f"edge {e!r} must be a pair of node ids") from None
         try:
-            idx_edges.append((id_to_idx[str(a)], id_to_idx[str(b)]))
+            idx_edges.append((id_to_idx[_node_id(a)], id_to_idx[_node_id(b)]))
         except KeyError:
             raise GraphError(f"edge ({str(a)!r},{str(b)!r}) references unknown node") from None
     return make_graph(props, node_ids, labels, idx_edges)

@@ -97,9 +97,11 @@ def test_check_graph_error_exit_3(runner, tmp_path):
         {"props": "pq", "nodes": [{"id": "a", "props": "pq"}], "edges": []},
         {"props": ["p"], "nodes": [{"id": "a", "props": {"p": 0}}], "edges": []},
         {"props": ["p"], "nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"b": 1, "a": 2}]},
+        {"props": ["p"], "nodes": [{"id": None}, {"id": "a"}], "edges": [[None, "a"]]},
+        {"props": ["p"], "nodes": [{"id": {"x": 1}}, {"id": "a"}], "edges": [["a", "a"]]},
     ],
     ids=["node-without-id", "nodes-not-a-list", "edge-not-a-pair", "string-props",
-         "object-props", "object-edge"],
+         "object-props", "object-edge", "null-id", "object-id"],
 )
 def test_check_malformed_graph_exit_3(runner, tmp_path, data):
     bad = tmp_path / "bad.json"

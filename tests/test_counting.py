@@ -23,7 +23,7 @@ from mugnn.counting import (
 from mugnn.formula import index, parse, sentence, to_text, well_name
 from mugnn.gen import random_formula, random_graph
 from mugnn.gnn import compile_formula, run_gnn
-from mugnn.graph import WIDE_GRAPH, mask_of
+from mugnn.graph import WIDE_GRAPH, make_graph, mask_of
 from mugnn.semantics import Evaluator, evaluate, model_check_stable
 
 from oracles import (
@@ -36,6 +36,10 @@ from oracles import (
     tree_facts,
 )
 from test_graph import sparse_graph
+
+
+# the reference for each transition a plain run reports to `on_config`
+PLAIN_STEPS = {"t3": reference_trans3, "t1": reference_trans1, "t2": lambda cfg: reference_trans2(cfg)[0]}
 
 
 def idx_of(text):
@@ -229,6 +233,46 @@ def test_engines_agree_on_a_wide_graph(text):
     assert stable_k == cfg.k
 
 
+@pytest.mark.parametrize("text", [
+    "nu X.(mu Y.((p & <>X) | <>Y))",
+    "mu X.(nu Y.((p | <>X) & [1]Y))",
+    "nu X.(mu Y.([1]((p & X) | (q & Y))))",
+])
+def test_engines_match_reference_on_multi_byte_masks(text):
+    # A position with two free variables, which random sentences seldom have,
+    # and random graphs of 9 to 40 nodes, so masks span 2 to 5 bytes, then
+    # paths, where k climbs to n+1.  Every counting and extended step is the
+    # clause-by-clause reference step, which counts per node, and all five
+    # engines agree.
+    idx = sentence(text)
+    assert any(free.bit_count() == 2 for free in idx.free)
+    rng = random.Random(39)
+    graphs = [sparse_graph(rng, n, d) for n in (9, 16, 17, 24, 33, 40) for d in (1, 2)]
+    graphs += [make_graph(["p", "q"], [str(i) for i in range(n)], [["q"]] * (n - 1) + [["p", "q"]],
+                          [(a, a + 1) for a in range(n - 1)] + [(n - 1, n - 1)]) for n in (9, 12)]
+    for G in graphs:
+        prev = []
+
+        def on_plain(kind, cfg):
+            if prev:
+                assert cfg == PLAIN_STEPS[kind](prev[-1]), (G.n, kind)
+            prev.append(cfg)
+
+        def on_extended(kind, x):
+            if prev:
+                assert x == reference_etrans_step(prev[-1]), G.n
+            prev.append(x)
+
+        cfg, _ = run_counting(idx, G, on_config=on_plain)
+        prev.clear()
+        x, steps = run_extended(idx, G, on_config=on_extended)
+        out, rounds, _ = run_gnn(compile_formula(idx, props=G.props), G)
+        want = cfg.R[idx.root]
+        assert evaluate(idx, G) == x.config.R[idx.root] == mask_of(i for i, b in enumerate(out) if b) == want
+        assert model_check_stable(idx, G) == (want, cfg.k)
+        assert rounds == steps
+
+
 def test_a_formula_is_indexed_once_across_runs(monkeypatch, g1):
     calls = []
     real = mugnn.formula.index
@@ -361,11 +405,6 @@ def test_step_matches_reference():
     # every configuration of both runs is the clause-by-clause reference step
     # applied to the one before it
     rng = random.Random(37)
-    plain_steps = {
-        "t3": reference_trans3,
-        "t1": reference_trans1,
-        "t2": lambda cfg: reference_trans2(cfg)[0],
-    }
     seen = Counter()
     for _ in range(100):
         phi = random_formula(rng, max_size=16, max_grade=3)
@@ -374,7 +413,7 @@ def test_step_matches_reference():
 
         def on_plain(kind, cfg):
             if prev:
-                assert cfg == plain_steps[kind](prev[-1]), (to_text(phi), kind)
+                assert cfg == PLAIN_STEPS[kind](prev[-1]), (to_text(phi), kind)
             assert ticks_reset_dep(cfg) == reference_ticks_reset_dep(cfg)
             prev.append(cfg)
             seen["plain"] += 1

@@ -69,6 +69,24 @@ def test_node_without_id_rejected():
         graph_from_json(data)
 
 
+@pytest.mark.parametrize("nid", [None, {"x": 1}, [1], 1.0, True, False])
+def test_node_id_neither_string_nor_int_rejected(nid):
+    # str() would load them as nodes "None", "{'x': 1}", "[1]", "1.0", "True" and "False"
+    with pytest.raises(GraphError, match="must be a string or an int"):
+        graph_from_json({"props": [], "nodes": [{"id": nid}], "edges": []})
+
+
+@pytest.mark.parametrize("edge", [[1.0, 1], [1, None], [True, 1], [1, [1]]])
+def test_edge_endpoint_neither_string_nor_int_rejected(edge):
+    with pytest.raises(GraphError, match="must be a string or an int"):
+        graph_from_json({"props": [], "nodes": [{"id": 1}, {"id": "True"}], "edges": [edge]})
+
+
+def test_int_node_ids_load_as_decimal_strings():
+    G = graph_from_json({"props": [], "nodes": [{"id": 1}, {"id": "a"}], "edges": [[1, "a"], ["1", 1]]})
+    assert G.node_ids == ("1", "a") and G.adj == ((1, 0), ())
+
+
 def test_nodes_not_a_list_rejected():
     with pytest.raises(GraphError):
         graph_from_json(dict(G1_JSON, nodes=5))
@@ -167,13 +185,28 @@ def sparse_graph(rng, n, out_degree, props=("p", "q")):
     return make_graph(props, [str(i) for i in range(n)], labels, sorted(edges))
 
 
+def byte_boundary_graphs(rng):
+    """The empty graph, then graphs at and around the byte boundaries of a mask
+    up to WIDE_GRAPH nodes: random, a path, self-loops, and all edges into one
+    sink, so that most nodes have no in-neighbour."""
+    yield make_graph(["p"], [], [], [])
+    for n in (8, 9, 15, 16, 17, 40, WIDE_GRAPH):
+        ids, labels = [str(i) for i in range(n)], [[]] * n
+        yield sparse_graph(rng, n, 3)
+        yield make_graph(["p"], ids, labels, [(a, a + 1) for a in range(n - 1)])
+        yield make_graph(["p"], ids, labels, [(a, a) for a in range(n)])
+        yield make_graph(["p"], ids, labels, [(a, n - 1) for a in range(n - 1)])
+
+
 def graded_cases(rng):
-    """(graph, masks, grades): small random graphs, which count in a loop over
-    nodes, then graphs above WIDE_GRAPH nodes, which count over the edge index."""
-    for _ in range(40):
-        G = random_graph(rng, max_nodes=7, edge_prob=rng.choice((0.2, 0.5)))
-        assert G._out_masks is not None
-        top = max(map(len, G.adj)) + 2  # a grade above every out-degree
+    """(graph, masks, grades): small random graphs and graphs at the byte
+    boundaries, which look up grade 1 in byte tables and count higher grades
+    in a loop over nodes, then graphs above WIDE_GRAPH nodes, which count over
+    the edge index."""
+    small = [random_graph(rng, max_nodes=7, edge_prob=rng.choice((0.2, 0.5))) for _ in range(40)]
+    for G in small + list(byte_boundary_graphs(rng)):
+        assert G.n <= WIDE_GRAPH
+        top = max(map(len, G.adj), default=0) + 2  # a grade above every out-degree
         yield G, [0, G.full_mask] + [rng.randrange(G.full_mask + 1) for _ in range(6)], range(1, top + 1)
     # a count past 255 at the hub, so counts must not wrap around a byte
     hub = make_graph(["p"], [str(i) for i in range(301)], [[]] * 301, [(0, i) for i in range(1, 301)])
@@ -184,7 +217,7 @@ def graded_cases(rng):
     wide = [(hub, [mask_of(range(1, 256)), mask_of(range(1, 257))], (1, 255, 256, 300, 301))]
     wide += [(G, [], range(1, 5)) for G in (edgeless, loops, sparse_graph(rng, 200, 3))]
     for G, masks, grades in wide:
-        assert G.n > WIDE_GRAPH and G._out_masks is None
+        assert G.n > WIDE_GRAPH
         masks += [0, G.full_mask] + [rng.randrange(G.full_mask + 1) for _ in range(6)]
         yield G, masks, grades
 
@@ -204,3 +237,13 @@ def test_graded_counting_matches_brute_force():
                 assert G.at_least(mask, grade) == expect_at_least
                 assert G.all_but(mask, grade) == expect_all_but
     assert G.at_least(0, 1) == 0 and G.all_but(G.full_mask, 1) == G.full_mask
+
+
+def test_byte_tables_built_only_by_a_grade_one_count():
+    # a caller that loads a graph and counts no grade-1 clause pays nothing for them
+    G = graph_from_json(G1_JSON)
+    assert "_pre_tables" not in vars(G)
+    assert G.at_least(0b110, 2) == 0 and G.all_but(0b001, 2) == G.full_mask
+    assert "_pre_tables" not in vars(G)
+    assert G.at_least(0b110, 1) == 0b011
+    assert "_pre_tables" in vars(G)
