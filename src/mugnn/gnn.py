@@ -33,6 +33,14 @@ from .formula import index, parse  # noqa: F401  names the benchmark's traced ru
 from .graph import LabeledGraph
 from .rfnn import CircuitBuilder, LinExpr, Rfnn
 
+try:  # the builtin sha256: hashlib's loads OpenSSL, 3.6 MB more resident memory
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 MAX_WEIGHT = 2**40
 _BEYOND_MAX_WEIGHT = f"weight magnitude bound exceeded: a weight or bias beyond {MAX_WEIGHT}"
 _MAX, _MIN = np.maximum.reduce, np.minimum.reduce
@@ -54,8 +62,6 @@ class FeatureLayout(NamedTuple):
     """Deterministic coordinate assignment for local extended configurations."""
 
     props: tuple[str, ...]
-    n_rsub: int
-    n_fp: int
     prop_coord: tuple[int, ...]   # aligned with props
     k_coord: int
     c_coord: tuple[int, ...]      # per fixpoint
@@ -81,13 +87,7 @@ def make_layout(idx: SubformulaIndex, props) -> FeatureLayout:
     for w in widths:
         groups.append(c if w is None else tuple(range(c, c + w)))
         c += 1 if w is None else w
-    return FeatureLayout(props, idx.n, idx.n_fp, *groups, dim=c)
-
-
-def layout_to_json(lay: FeatureLayout) -> dict:
-    """The layout's fields in order, `prop_coord` written as "prop"."""
-    return {name.removesuffix("_coord"): list(value) if isinstance(value, tuple) else value
-            for name, value in zip(lay._fields, lay)}
+    return FeatureLayout(props, *groups, dim=c)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +221,6 @@ class RecurrentGnn:
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-    @property
-    def hlt_index(self) -> int:
-        return self.layout.halt_coord
 
     @property
     def out_index(self) -> int:
@@ -496,7 +492,7 @@ def run_gnn(gnn: RecurrentGnn, G: LabeledGraph, on_config=None, max_steps: int |
     rounds = _Rounds(gnn, G, encode(x0, gnn.layout))
     if on_config:
         on_config("init", x0)
-    halt = rounds.X[gnn.hlt_index]
+    halt = rounds.X[gnn.layout.halt_coord]
     iters = 0
     while _MIN(halt, initial=1.0) <= 0:  # some node has not halted
         if iters >= limit:
@@ -513,13 +509,23 @@ def run_gnn(gnn: RecurrentGnn, G: LabeledGraph, on_config=None, max_steps: int |
 # Serialization
 
 
-MODEL_FORMAT = 3
+MODEL_FORMAT = 4
+
+
+def _digest(text: str, props, comb: Rfnn) -> str:
+    """The sha256 of the formula text and each prop in UTF-8, then of the
+    network's sizes, nnz, cols, coefs and bias, led by a header of the number
+    of props and each part's byte length; every int is little-endian int64."""
+    parts = [s.encode() for s in (text, *props)] + [np.asarray(a, "<i8").tobytes() for a in comb[:5]]
+    head = np.array([len(props), *map(len, parts)], "<i8").tobytes()
+    return sha256(b"".join([head, *parts])).hexdigest()
 
 
 def gnn_to_json(gnn: RecurrentGnn) -> dict:
-    """The model file: each combine row is a flat [atom, coef, atom, coef, ...]
-    list of its nonzero coefficients; atoms 0 .. 2*dim - 1 are the inputs and
-    the rows of each level are the atoms after those of the level before."""
+    """The model file: the formula, the props, the combine network, each row a
+    flat [atom, coef, atom, coef, ...] list of its nonzero coefficients (atoms
+    0 .. 2*dim - 1 are the inputs, and the rows of each level are the atoms
+    after those of the level before), and their `_digest`."""
     comb = gnn.comb
     flat = np.empty(2 * len(comb.cols), np.int64)
     flat[0::2], flat[1::2] = comb.cols, comb.coefs
@@ -529,30 +535,27 @@ def gnn_to_json(gnn: RecurrentGnn) -> dict:
     bias, ends = comb.bias.tolist(), list(accumulate(comb.sizes, initial=0))
     return {
         "format": MODEL_FORMAT,
-        "dim": gnn.dim,
         "formula": gnn.formula_text,
-        "layout": layout_to_json(gnn.layout),
-        "layer": [
-            {"rows": b - a, "weights": rows[a:b], "bias": bias[a:b]}
-            for a, b in zip(ends, ends[1:])
-        ],
-        "hlt_index": gnn.hlt_index,
-        "out_index": gnn.out_index,
+        "props": list(gnn.props),
+        "layer": [{"weights": rows[a:b], "bias": bias[a:b]} for a, b in zip(ends, ends[1:])],
+        "sha256": _digest(gnn.formula_text, gnn.props, comb),
     }
 
 
 def gnn_from_json(data) -> RecurrentGnn:
     """Rebuild a model from `gnn_to_json` output.  Raises GnnError if the file is
-    malformed, of another format, its formula is not the text of a sentence over the
-    layout's props, a layer's "rows" is not its row count, its combine network is not
-    one `_check_network` accepts, or its layout or indices do not belong to it."""
+    malformed, of another format, has a key `gnn_to_json` does not write, its formula
+    is not the text of a sentence, its props are not the sorted, distinct strings
+    that cover the formula's, its combine network is not one `_check_network`
+    accepts, or its "sha256" is missing or not the `_digest` of what it holds."""
     if not isinstance(data, dict):
         raise GnnError("model file is not a JSON object")
     if data.get("format") != MODEL_FORMAT:
-        raise GnnError(
-            f"model file format {data.get('format')!r} is not {MODEL_FORMAT}; "
-            "re-run `mugnn compile` to rebuild it"
-        )
+        raise GnnError(f"model file format {data.get('format')!r} is not {MODEL_FORMAT}; "
+                       "re-run `mugnn compile` to rebuild it")
+    unknown = data.keys() - {"format", "formula", "props", "layer", "sha256"}
+    if unknown:
+        raise GnnError(f"unknown model file keys {sorted(unknown)}")
     text = data.get("formula")
     if not isinstance(text, str):
         raise GnnError('"formula" is not a string')
@@ -560,25 +563,20 @@ def gnn_from_json(data) -> RecurrentGnn:
         idx = sentence(text)
     except FormulaError as e:
         raise GnnError(f"model formula: {e}") from None
-    lay = data.get("layout")
-    if not isinstance(lay, dict):
-        raise GnnError('"layout" is not an object')
-    props = lay.get("props")
-    if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
-        raise GnnError("layout props are not a list of strings")
+    props = data.get("props")
+    if (not isinstance(props, list) or not all(isinstance(p, str) for p in props)
+            or props != sorted(set(props))):
+        raise GnnError('"props" is not a sorted list of distinct strings')
     layout = make_layout(idx, props)
-    if layout_to_json(layout) != lay or data.get("dim") != layout.dim:
-        raise GnnError("layout does not match the formula")
     if not isinstance(data.get("layer"), list) or not data["layer"]:
         raise GnnError('"layer" is not a non-empty list')
     rows, biases, sizes = [], [], []
     for li, layer in enumerate(data["layer"]):
-        W = layer.get("weights") if isinstance(layer, dict) else None
-        bias = layer.get("bias") if isinstance(layer, dict) else None
+        W, bias = (layer.get("weights"), layer.get("bias")) if isinstance(layer, dict) else (None, None)
         if not isinstance(W, list) or not isinstance(bias, list) or len(bias) != len(W):
             raise GnnError(f"layer {li} needs a weights list and as many biases")
-        if type(layer.get("rows")) is not int or layer["rows"] != len(W):
-            raise GnnError(f'layer {li}: "rows" is not its number of rows, {len(W)}')
+        if len(layer) != 2:
+            raise GnnError(f'layer {li} has keys other than "weights" and "bias": {sorted(layer)}')
         rows += W
         biases += bias
         sizes.append(len(W))
@@ -595,8 +593,9 @@ def gnn_from_json(data) -> RecurrentGnn:
     n = len(values) - len(biases)  # the row entries, then the biases
     comb = Rfnn(tuple(sizes), lens >> 1, values[:n:2], values[1:n:2], values[n:], 2 * layout.dim)
     gnn = RecurrentGnn(text, idx, layout, comb)
-    if (data.get("hlt_index"), data.get("out_index")) != (gnn.hlt_index, gnn.out_index):
-        raise GnnError("halt or output index does not match the formula")
+    if data.get("sha256") != _digest(text, layout.props, comb):
+        raise GnnError('"sha256" is missing or does not match the formula, props and network: '
+                       "the file changed after it was written")
     return gnn
 
 

@@ -12,8 +12,8 @@ but derives every fact about a subformula from its tree (`tree_facts`), not
 from the masks the library's step runs on.
 
 The last section holds helpers over the library's own code that only the
-tests call: graded bisimilarity by color refinement, writing a graph file,
-and the type-2 step's tick and reset sets as index sets.
+tests call: graded bisimilarity by color refinement, random covering graphs,
+writing a graph file, and the type-2 step's tick and reset sets as index sets.
 """
 
 import json
@@ -36,7 +36,7 @@ from mugnn.formula import (
     children,
     free_vars,
 )
-from mugnn.graph import GraphError, disjoint_union, graph_to_json
+from mugnn.graph import GraphError, disjoint_union, graph_to_json, make_graph
 
 
 def all_subsets(n):
@@ -324,6 +324,20 @@ def g_bisimilar(G, n, H, m):
     agree in the refinement of the disjoint union."""
     coloring = color_refinement(disjoint_union(G, H))
     return coloring.colors[n] == coloring.colors[G.n + m]
+
+
+def random_lift(G, m, rng):
+    """A random m-fold covering graph (lift) of G: node (v, i), at index
+    i * G.n + v, for every node v and copy i < m, labelled as v; each edge
+    u -> v becomes the edges (u, i) -> (v, pi(i)) for a random permutation pi
+    of the copies, one per edge.  Every (v, i) is graded bisimilar to v."""
+    edges = []
+    for u, out in enumerate(G.adj):
+        for v in out:
+            pi = rng.sample(range(m), m)
+            edges += [(i * G.n + u, pi[i] * G.n + v) for i in range(m)]
+    ids = [f"{nid}.{i}" for i in range(m) for nid in G.node_ids]
+    return make_graph(G.props, ids, G.labels * m, edges)
 
 
 def save_graph(G, path):

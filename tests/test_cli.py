@@ -11,7 +11,7 @@ from mugnn.graph import graph_to_json
 
 from oracles import is_well_named
 from test_formula import TOO_DEEP
-from test_gnn import _set
+from test_gnn import _dim, _set
 
 
 @pytest.fixture
@@ -235,7 +235,7 @@ def _format_2(data):
     for li, layer in enumerate(data["layer"]):
         for row in layer["weights"]:
             last_read.update(dict.fromkeys(row[0::2], li))
-    cols = list(range(2 * data["dim"]))  # the atom in each column of the layer before
+    cols = list(range(2 * _dim(data)))  # the atom in each column of the layer before
     layers = []
     for li, layer in enumerate(data["layer"]):
         at = {a: i for i, a in enumerate(cols)}
@@ -246,19 +246,19 @@ def _format_2(data):
             break
         carried = [a for a in cols if last_read.get(a, -1) > li]
         layers.append({
-            "rows": len(carried) + layer["rows"],
+            "rows": len(carried) + len(layer["weights"]),
             "weights": [[at[a], 1] for a in carried] + weights,
             "bias": [0] * len(carried) + layer["bias"],
         })
-        first = 2 * data["dim"] + sum(lay["rows"] for lay in levels[:li])
-        cols = carried + list(range(first, first + layer["rows"]))
+        first = 2 * _dim(data) + sum(len(lay["weights"]) for lay in levels[:li])
+        cols = carried + list(range(first, first + len(layer["weights"])))
     return {**data, "format": 2, "layer": layers}
 
 
 def _dense_format(data):
     """The same model in the dense layout written before model format 2."""
+    width = 2 * _dim(data)
     data = _format_2(data)
-    width = 2 * data["dim"]
     del data["format"]
     for layer in data["layer"]:
         dense = []
@@ -268,7 +268,7 @@ def _dense_format(data):
                 full[col] = coef
             dense.append(full)
         layer.update(cols=width, weights=dense)
-        width = layer["rows"]
+        width = len(layer["weights"])
     return data
 
 
@@ -289,11 +289,16 @@ def _dense_format(data):
         _set(["layer", 1, "weights", 0, 1], 1.0),
         _set(["layer", 2, "weights", 0], [0, 1, 2]),
         lambda d: {**d, "layer": [{**layer, "rows": 99} for layer in d["layer"]]},
+        _set(["format"], 3),
+        _set(["dim"], 24),
+        _set(["formula"], "nu X.(q | <>X)"),
+        lambda d: {key: value for key, value in d.items() if key != "sha256"},
     ],
     ids=["formula-not-a-string", "layout-not-an-object", "layer-not-a-list",
          "top-level-list", "dense-format-1", "format-2", "prop-outside-layout",
          "coef-beyond-max-weight", "bias-beyond-int64", "column-beyond-int64", "bool-coef",
-         "float-coef", "odd-row-in-a-later-layer", "rows-not-the-row-count"],
+         "float-coef", "odd-row-in-a-later-layer", "rows-not-the-row-count", "format-3",
+         "dim-key", "swapped-formula", "no-sha256"],
 )
 def test_run_malformed_model_exit_2(runner, tmp_path, g1_path, damage):
     data = gnn_to_json(compile_formula(REACH, props=["p", "q"]))

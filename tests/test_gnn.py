@@ -611,7 +611,7 @@ def test_state_beyond_run_limit_raises():
     G = make_graph(["p", "q"], ["a", "b", "c"], [[], ["q"], ["p"]], [(0, 1), (0, 2), (1, 2)])
     gnn = compile_formula(parse("mu X.(p | <>X)"), props=G.props)
     last = len(gnn.comb.layers) - 1
-    (W, bias), h = gnn.comb.layers[last], gnn.hlt_index
+    (W, bias), h = gnn.comb.layers[last], gnn.layout.halt_coord
     assert bias[h] == 0
     row = tuple((c, w * 2**30) for c, w in W[h])
     gnn = _with_comb(gnn, replace_row(gnn.comb, last, h, row))
@@ -623,7 +623,7 @@ def test_state_beyond_run_limit_raises():
     X[k, 0] = int(bound / 2) - 1  # inside the limit: runs
     assert apply_layer(gnn, G, X)[k, 0] == X[k, 0]
     for i, value in [(k, int(bound / 2) + 1), (k, -int(bound / 2) - 1), (k, 2**40), (k, 2**70),
-                     (gnn.hlt_index, int(bound / 2) + 1)]:  # an input the network ignores
+                     (h, int(bound / 2) + 1)]:  # an input the network ignores
         bad = X.astype(object) if value >= 2**63 else X.copy()  # beyond int64: not a state
         bad[i, 0] = value
         with pytest.raises(GnnError):
@@ -667,7 +667,7 @@ def test_serialization_roundtrip(tmp_path, g1, phi_reach):
     loaded = load_gnn(path)
     assert same_net(loaded.comb, gnn.comb)
     assert loaded.layout == gnn.layout
-    assert loaded.hlt_index == gnn.hlt_index and loaded.out_index == gnn.out_index
+    assert loaded.out_index == gnn.out_index
     out1, it1, _ = run_gnn(gnn, g1)
     out2, it2, _ = run_gnn(loaded, g1)
     assert (out1, it1) == (out2, it2)
@@ -676,11 +676,11 @@ def test_serialization_roundtrip(tmp_path, g1, phi_reach):
 
 
 @pytest.mark.parametrize("text, digest", [
-    ("mu X.(p | <>X)", "ffbf7ed9d704b9e3b7e0208909d6431d1487705b2036b0e959234bfb66fb6e7e"),
+    ("mu X.(p | <>X)", "8b4eda28bda2f0d6893b041143391e4df9539f4b691125a827b78ce3a694f34d"),
     ("nu X.([2]X & mu Y.(q | <>Y))",
-     "7615b53d77f19255d39a893e1889a1d76d19fb55edd0e4e4fa50277f34c1bc2e"),
-    (reset_chain(4), "525715b60cbbd40f1d127a30499a1aa7da8d823190ca9ab33535d92783c4b5a9"),
-])
+     "c35df72489b68abfdb9bacb2561537ca25617913f27956f293f14647ecd873aa"),
+    (reset_chain(4), "3ea28fb6e4fa2f759f2182aac20625b4a44815f22b32560db07e605264a32cb8"),
+], ids=["reach", "graded", "reset-chain-4"])
 def test_model_file_bytes_are_pinned(tmp_path, text, digest):
     # The files `mugnn compile` writes for the three formulas CI compiles:
     # a change to the builder, the writer or the compiler shows here.
@@ -697,7 +697,19 @@ def test_compiled_corpus_digest_is_pinned(tmp_path):
     for seed in range(200):
         save_gnn(compile_formula(random_formula(random.Random(seed))), path)
         h.update(path.read_bytes())
-    assert h.hexdigest() == "bbd405810b42f6ddf3e7411e75fabb0692dcb8309f841633d075ddfd0f63964f"
+    assert h.hexdigest() == "33e486b62439115e1ccfbf2dd2e6784caf3978d0f8126bd81598f131c2bcaa4e"
+
+
+def test_compiled_network_digest_is_pinned():
+    # One digest over the `Rfnn` arrays of the same 200 sentences, as
+    # little-endian int64: it pins the network itself, so a change to the
+    # file format alone leaves it as it is.
+    h = hashlib.sha256()
+    for seed in range(200):
+        comb = compile_formula(random_formula(random.Random(seed))).comb
+        for a in (comb.sizes, comb.nnz, comb.cols, comb.coefs, comb.bias):
+            h.update(np.asarray(a, "<i8").tobytes())
+    assert h.hexdigest() == "323eb41c5bc6549442b5ddc9fe668d040451a421b7ee4f9ae7d779d0a771a658"
 
 
 def _program_arrays(prog):
@@ -754,9 +766,18 @@ def _set(path, value):
     return damage
 
 
+def _dim(data):
+    """The state width of a model file: the number of output rows."""
+    return len(data["layer"][-1]["weights"])
+
+
 def _atoms(data):
     """The number of atoms of a model file: inputs and every hidden row."""
-    return 2 * data["dim"] + sum(layer["rows"] for layer in data["layer"][:-1])
+    return 2 * _dim(data) + sum(len(layer["weights"]) for layer in data["layer"][:-1])
+
+
+# the cases that only the digest catches: each is a well-formed model file
+_DIGEST_CASES = {"swapped-formula", "weight-plus-1", "no-sha256"}
 
 
 @pytest.mark.parametrize(
@@ -764,11 +785,11 @@ def _atoms(data):
     [
         _set(["format"], 1),
         _set(["formula"], ["mu X.(p | <>X)"]),
-        _set(["layout", "k"], 0),
-        _set(["layout", "props"], "pq"),
-        _set(["dim"], 25),
-        _set(["out_index"], 0),
-        _set(["hlt_index"], 0),
+        _set(["layout"], {"props": ["p", "q"], "k": 0}),
+        _set(["props"], "pq"),
+        _set(["dim"], 24),
+        _set(["out_index"], 9),
+        _set(["hlt_index"], 23),
         _set(["layer", 0], []),
         _set(["layer", 0, "bias"], [0]),
         _set(["layer", 0, "weights", 0], 5),
@@ -779,8 +800,8 @@ def _atoms(data):
         _set(["layer", 1, "weights", 0], [-1, 1]),
         lambda data: {**data, "layer": data["layer"][:-1]},
         _set(["format"], 2),
-        lambda data: _set(["layer", 1, "weights", 0], [48 + data["layer"][0]["rows"], 1])(data),
-        lambda data: _set(["layer", 0, "weights", 0], [48 + data["layer"][0]["rows"], 1])(data),
+        lambda data: _set(["layer", 1, "weights", 0], [48 + len(data["layer"][0]["weights"]), 1])(data),
+        lambda data: _set(["layer", 0, "weights", 0], [48 + len(data["layer"][0]["weights"]), 1])(data),
         lambda data: _set(["layer", -1, "weights", 0], [_atoms(data), 1])(data),
         _set(["formula"], "mu X.(p | <>Y)"),
         _set(["formula"], "mu X.(z | <>X)"),
@@ -791,6 +812,15 @@ def _atoms(data):
         _set(["layer", 1, "weights", 0], [True, 1]),
         _set(["layer", 1, "weights", 0], [1.0, 1]),
         lambda data: {**data, "layer": [{**layer, "rows": 99} for layer in data["layer"]]},
+        lambda data: {**data, "layer": [{**layer, "rows": len(layer["weights"])}
+                                        for layer in data["layer"]]},
+        _set(["format"], 3),
+        _set(["props"], ["q", "p"]),
+        _set(["props"], ["p", "p", "q"]),
+        _set(["props"], ["p"]),
+        _set(["formula"], "nu X.(q | <>X)"),
+        lambda data: _set(["layer", 0, "weights", 0, 1], data["layer"][0]["weights"][0][1] + 1)(data),
+        lambda data: {key: value for key, value in data.items() if key != "sha256"},
     ],
     ids=["format-1", "formula-list", "layout-changed", "string-props", "dim", "out-index",
          "hlt-index", "layer-not-an-object", "bias-length", "row-not-a-list", "odd-row",
@@ -798,24 +828,28 @@ def _atoms(data):
          "output-width", "format-2", "own-level-atom", "later-level-atom",
          "output-reads-past-atoms", "open-formula", "prop-outside-layout",
          "coef-beyond-max-weight", "bias-beyond-int64", "column-beyond-int64",
-         "odd-row-in-a-later-layer", "bool-column", "float-column", "rows-not-the-row-count"],
+         "odd-row-in-a-later-layer", "bool-column", "float-column", "rows-not-the-row-count",
+         "rows-key", "format-3", "props-unsorted", "props-duplicate", "props-short",
+         "swapped-formula", "weight-plus-1", "no-sha256"],
 )
-def test_malformed_model_json_rejected(g1, phi_reach, damage):
+def test_malformed_model_json_rejected(request, g1, phi_reach, damage):
+    # The digest is checked last, so every other case has a message of its own.
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))
-    assert data["dim"] == 24 and gnn_from_json(json.loads(json.dumps(data))).dim == 24
-    with pytest.raises(GnnError):
+    assert _dim(data) == 24 and gnn_from_json(json.loads(json.dumps(data))).dim == 24
+    with pytest.raises(GnnError) as err:
         gnn_from_json(damage(data))
+    assert ('"sha256"' in str(err.value)) == (request.node.callspec.id in _DIGEST_CASES)
 
 
 def test_model_json_shape(g1, phi_reach):
     data = gnn_to_json(compile_formula(phi_reach, props=g1.props))
-    assert set(data) == {"format", "dim", "formula", "layout", "layer", "hlt_index", "out_index"}
+    assert list(data) == ["format", "formula", "props", "layer", "sha256"]
     json.dumps(data)  # serializable
-    assert data["format"] == 3
-    first = 2 * data["dim"]  # the first atom of each level
+    assert data["format"] == 4 and data["props"] == ["p", "q"]
+    assert all(list(layer) == ["weights", "bias"] for layer in data["layer"])
+    first = 2 * _dim(data)  # the first atom of each level
     for layer in data["layer"]:
-        assert layer["rows"] == len(layer["weights"])
         assert all(len(row) % 2 == 0 for row in layer["weights"])
         assert all(0 <= col < first for row in layer["weights"] for col in row[0::2])
-        first += layer["rows"]
-    assert _atoms(data) == first - layer["rows"]
+        first += len(layer["weights"])
+    assert _atoms(data) == first - len(layer["weights"])
